@@ -1,6 +1,7 @@
-//! Criterion bench: multi-operator composition throughput of the
-//! Vec-of-RidArrays representation versus CSR (CSR×Array and CSR×CSR fast
-//! paths) on the zipfian microbench shape (10k rows, 100 groups).
+//! Criterion bench: multi-operator composition throughput from a
+//! Vec-of-RidArrays parent versus a CSR parent (both through the
+//! count-then-fill kernel) on the zipfian microbench shape (10k rows, 100
+//! groups).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smoke_lineage::{compose_backward, LineageIndex, RidArray, RidIndex};
@@ -38,7 +39,7 @@ fn bench(c: &mut Criterion) {
     let idx_child = child_index();
     let csr_child = idx_child.clone().finalize();
 
-    // The fast paths must agree with the general path.
+    // Both parent layouts must compose to the same rids.
     for pos in [0u32, 57, 99] {
         assert_eq!(
             compose_backward(&parent, &arr).lookup(pos),

@@ -122,8 +122,11 @@ enum Probe {
 /// Single integer keys with a bounded domain use a dense gid table (one
 /// array index per row instead of a hash); wide integer domains and integer
 /// pairs hash the primitive key directly (no per-row [`HashKey`]
-/// construction, no allocation for composite keys); everything else falls
-/// back to the generic [`HashKey`] path.
+/// construction, no allocation for composite keys); a single string key
+/// hashes the `&str` borrowed from the column (no per-row `String` clone, in
+/// the build phase or the Defer re-probe); everything else falls back to the
+/// generic [`HashKey`] path. The choice mirrors `hash_join`'s typed key
+/// paths.
 enum KeyMode<'a> {
     DenseInt {
         keys: &'a [i64],
@@ -137,6 +140,10 @@ enum KeyMode<'a> {
     HashPair {
         keys: Vec<(i64, i64)>,
         ht: HashMap<(i64, i64), u32>,
+    },
+    HashStr {
+        keys: &'a [String],
+        ht: HashMap<&'a str, u32>,
     },
     Generic {
         ht: HashMap<HashKey, u32>,
@@ -169,6 +176,12 @@ impl<'a> KeyMode<'a> {
                 ht: HashMap::new(),
             };
         }
+        if let Some(keys) = smoke_storage::kernels::str_keys(extractor.columns()) {
+            return KeyMode::HashStr {
+                keys,
+                ht: HashMap::new(),
+            };
+        }
         KeyMode::Generic { ht: HashMap::new() }
     }
 
@@ -190,6 +203,10 @@ impl<'a> KeyMode<'a> {
                     let (a, b) = keys[rid];
                     Probe::Miss(HashKey::Composite(vec![KeyPart::Int(a), KeyPart::Int(b)]))
                 }
+            },
+            KeyMode::HashStr { keys, ht } => match ht.get(keys[rid].as_str()) {
+                Some(&gid) => Probe::Hit(gid),
+                None => Probe::Miss(HashKey::Str(keys[rid].clone())),
             },
             KeyMode::Generic { ht } => {
                 let key = extractor.key(rid);
@@ -213,6 +230,9 @@ impl<'a> KeyMode<'a> {
             }
             KeyMode::HashPair { keys, ht } => {
                 ht.insert(keys[rid], gid);
+            }
+            KeyMode::HashStr { keys, ht } => {
+                ht.insert(keys[rid].as_str(), gid);
             }
             KeyMode::Generic { ht } => {
                 ht.insert(key, gid);
@@ -316,8 +336,9 @@ pub fn group_by(
     };
 
     // γht: build phase. The group-id lookup runs over typed key vectors
-    // extracted once (dense table / primitive-key hash for integer keys),
-    // falling back to per-row `HashKey` construction for other shapes.
+    // extracted once (dense table / primitive-key hash for integer keys,
+    // borrowed `&str` hash for a string key), falling back to per-row
+    // `HashKey` construction for other shapes.
     let mut key_mode = KeyMode::new(&extractor, n);
     let mut groups: Vec<GroupEntry> = Vec::new();
     let mut forward = if capture_f && inject {

@@ -6,8 +6,15 @@
 //! parent's backward index through the child's backward index produces an
 //! index that maps parent output rids directly to rids of the base relation
 //! `R`; the child's indexes can then be garbage collected.
+//!
+//! Two kernels cover every pairing of representations:
+//! * a 1-to-1 chain (`Array`/`Identity` on both sides) stays a rid array,
+//!   built in one loop over the parent's slice, with [`NO_RID`] wherever a
+//!   link is missing;
+//! * every other pairing counts each output entry's cardinality, then fills
+//!   two exactly-sized CSR buffers: no per-entry allocation, no resize.
 
-use crate::csr::CsrRidIndex;
+use crate::csr::{checked_offset, CsrRidIndex};
 use crate::index::LineageIndex;
 use crate::rid_array::{RidArray, NO_RID};
 use crate::rid_index::RidIndex;
@@ -19,46 +26,21 @@ use smoke_storage::Rid;
 ///
 /// The composed index always covers exactly `parent.len()` positions, and its
 /// targets are always rids the child actually maps — identity indexes are
-/// truncated/filtered to their declared length rather than blindly cloned
-/// through.
+/// truncated/filtered to their declared length rather than blindly passed
+/// through. The result is an `Array` (or `Identity`) when both sides are
+/// 1-to-1, and `Csr` otherwise.
 pub fn compose_backward(parent: &LineageIndex, child: &LineageIndex) -> LineageIndex {
-    // Identity parent: the result is the child's mapping over exactly the
-    // parent's `n` positions.
-    if let LineageIndex::Identity(n) = parent {
-        return restrict_positions(child, *n);
-    }
-    // Identity child: the result is the parent's mapping, minus any target
-    // outside the identity's domain `0..n`.
-    if let LineageIndex::Identity(n) = child {
-        return restrict_targets(parent, *n);
-    }
-
+    use LineageIndex::{Array, Csr, Identity};
     match (parent, child) {
-        // 1-to-1 chain stays an array. (Identity children were fully handled
-        // above, so they no longer appear in this match.)
-        (LineageIndex::Array(_), LineageIndex::Array(_)) => {
-            let mut out = RidArray::with_capacity(parent.len());
-            for pos in 0..parent.len() {
-                match parent.single(pos as u32).and_then(|mid| child.single(mid)) {
-                    Some(base) => out.push(base),
-                    None => out.push(NO_RID),
-                }
-            }
-            LineageIndex::Array(out)
+        // An identity over exactly the child's positions leaves it unchanged
+        // (an `Index` is always rebuilt as CSR).
+        (Identity(n), Array(_) | Csr(_) | Identity(_)) if *n == child.len() => child.clone(),
+        // So does an identity covering every target of the parent.
+        (p, Identity(n)) if targets_below(p, *n) => parent.clone(),
+        (Array(_) | Identity(_), Array(_) | Identity(_)) => {
+            LineageIndex::Array(one_to_one(parent, child))
         }
-        // CSR parent: per-position output cardinalities are computable from
-        // the child in a first pass, so the composed index is built directly
-        // in CSR form — two exactly-sized buffers, zero resizes.
-        (LineageIndex::Csr(p), _) => LineageIndex::Csr(compose_csr(p, child)),
-        _ => {
-            let mut out = RidIndex::with_len(parent.len());
-            for pos in 0..parent.len() {
-                parent.for_each(pos as u32, |mid| {
-                    child.for_each(mid, |base| out.append(pos, base));
-                });
-            }
-            LineageIndex::Index(out)
-        }
+        (p, c) => LineageIndex::Csr(count_then_fill(p, c)),
     }
 }
 
@@ -72,138 +54,128 @@ pub fn compose_forward(child: &LineageIndex, parent: &LineageIndex) -> LineageIn
     compose_backward(child, parent)
 }
 
-/// CSR×(Array|CSR|Index) composition: count pass over the flat buffers, then
-/// a sequential fill into exactly-sized output buffers.
-fn compose_csr(parent: &CsrRidIndex, child: &LineageIndex) -> CsrRidIndex {
-    // The child representation is dispatched ONCE, into a per-mid slice
-    // accessor shared by the count and fill passes — the two can never
-    // disagree on per-mid cardinality, and each variant gets its own
-    // monomorphized pair of tight loops.
-    fn build<'c>(parent: &CsrRidIndex, get: impl Fn(Rid) -> &'c [Rid]) -> CsrRidIndex {
-        let mut offsets = Vec::with_capacity(parent.len() + 1);
+/// Whether every target of `index` lies in the identity domain `0..n`, so
+/// that the identity leaves it unchanged. Always false for an `Index`, which
+/// is rebuilt as CSR.
+fn targets_below(index: &LineageIndex, n: usize) -> bool {
+    match index {
+        LineageIndex::Array(a) => a.iter().all(|r| r == NO_RID || (r as usize) < n),
+        LineageIndex::Csr(c) => c.rids().iter().all(|&r| (r as usize) < n),
+        LineageIndex::Identity(m) => *m <= n,
+        LineageIndex::Index(_) => false,
+    }
+}
+
+/// 1-to-1 ∘ 1-to-1: one pass over the parent's mids. A [`NO_RID`] mid, a mid
+/// past the child's end and a child gap all map to [`NO_RID`].
+fn one_to_one(parent: &LineageIndex, child: &LineageIndex) -> RidArray {
+    fn through(mids: impl Iterator<Item = Rid>, child: &LineageIndex) -> RidArray {
+        match child {
+            LineageIndex::Array(c) => {
+                let c = c.as_slice();
+                mids.map(|mid| c.get(mid as usize).copied().unwrap_or(NO_RID))
+                    .collect()
+            }
+            LineageIndex::Identity(n) => mids
+                .map(|mid| if (mid as usize) < *n { mid } else { NO_RID })
+                .collect(),
+            _ => unreachable!("1-to-1 children only"),
+        }
+    }
+    match parent {
+        LineageIndex::Array(p) => through(p.as_slice().iter().copied(), child),
+        LineageIndex::Identity(n) => through(0..*n as Rid, child),
+        _ => unreachable!("1-to-1 parents only"),
+    }
+}
+
+/// Per-position access shared by every representation, so that each pairing
+/// gets its own monomorphized count and fill loops.
+trait Entries {
+    /// Calls `f` with the rids at `pos` (empty when out of range).
+    fn with_slice<R>(&self, pos: Rid, f: impl FnOnce(&[Rid]) -> R) -> R;
+}
+
+impl Entries for RidArray {
+    #[inline]
+    fn with_slice<R>(&self, pos: Rid, f: impl FnOnce(&[Rid]) -> R) -> R {
+        f(self.slice_checked(pos as usize))
+    }
+}
+
+impl Entries for RidIndex {
+    #[inline]
+    fn with_slice<R>(&self, pos: Rid, f: impl FnOnce(&[Rid]) -> R) -> R {
+        f(self.get_checked(pos as usize))
+    }
+}
+
+impl Entries for CsrRidIndex {
+    #[inline]
+    fn with_slice<R>(&self, pos: Rid, f: impl FnOnce(&[Rid]) -> R) -> R {
+        f(self.get_checked(pos as usize))
+    }
+}
+
+/// The identity over `0..n`.
+struct Domain(usize);
+
+impl Entries for Domain {
+    #[inline]
+    fn with_slice<R>(&self, pos: Rid, f: impl FnOnce(&[Rid]) -> R) -> R {
+        if (pos as usize) < self.0 {
+            f(std::slice::from_ref(&pos))
+        } else {
+            f(&[])
+        }
+    }
+}
+
+/// Composition into CSR: a first pass sums each output entry's cardinality
+/// into the offsets, a second copies the rids into a buffer of exactly that
+/// size. Both passes walk parent entries and child entries in order, so the
+/// rids come out in the order a nested loop would produce them.
+fn count_then_fill(parent: &LineageIndex, child: &LineageIndex) -> CsrRidIndex {
+    fn fill(len: usize, parent: &impl Entries, child: &impl Entries) -> CsrRidIndex {
+        let mut offsets = Vec::with_capacity(len + 1);
         offsets.push(0u32);
         let mut total = 0u64;
-        for pos in 0..parent.len() {
-            for &mid in parent.get(pos) {
-                total += get(mid).len() as u64;
-            }
-            offsets.push(crate::csr::checked_offset(total));
+        for pos in 0..len as Rid {
+            parent.with_slice(pos, |mids| {
+                for &mid in mids {
+                    total += child.with_slice(mid, |rids| rids.len()) as u64;
+                }
+            });
+            offsets.push(checked_offset(total));
         }
         let mut rids: Vec<Rid> = Vec::with_capacity(total as usize);
-        for pos in 0..parent.len() {
-            for &mid in parent.get(pos) {
-                rids.extend_from_slice(get(mid));
-            }
+        for pos in 0..len as Rid {
+            parent.with_slice(pos, |mids| {
+                for &mid in mids {
+                    child.with_slice(mid, |entry| match entry {
+                        [] => {}
+                        [rid] => rids.push(*rid),
+                        _ => rids.extend_from_slice(entry),
+                    });
+                }
+            });
         }
         CsrRidIndex::from_parts(offsets, rids)
     }
-
-    match child {
-        // Array's 1-to-(0|1) targets are viewed as sub-slices of its backing
-        // buffer (empty at NO_RID gaps) so it flows through the same shared
-        // count/fill passes as the other variants.
-        LineageIndex::Array(a) => build(parent, |mid| a.slice_checked(mid as usize)),
-        LineageIndex::Csr(c) => build(parent, |mid| c.get_checked(mid as usize)),
-        LineageIndex::Index(i) => build(parent, |mid| i.get_checked(mid as usize)),
-        LineageIndex::Identity(_) => unreachable!("identity children are handled earlier"),
-    }
-}
-
-/// `Identity(n) ∘ child`: the child's mapping restricted (or extended with
-/// empty entries) to exactly `n` positions.
-fn restrict_positions(child: &LineageIndex, n: usize) -> LineageIndex {
-    if n == child.len() {
-        return child.clone();
-    }
-    match child {
-        LineageIndex::Array(a) => {
-            let mut data: Vec<Rid> = a.iter().take(n).collect();
-            data.resize(n, NO_RID);
-            LineageIndex::Array(RidArray::from_vec(data))
-        }
-        LineageIndex::Index(i) => LineageIndex::Index(RidIndex::from_entries(
-            (0..n).map(|p| i.get_checked(p).to_vec()).collect(),
-        )),
-        LineageIndex::Csr(c) => {
-            let (offsets, rids) = if n < c.len() {
-                let offsets: Vec<u32> = c.offsets()[..=n].to_vec();
-                let end = offsets[n] as usize;
-                (offsets, c.rids()[..end].to_vec())
-            } else {
-                let mut offsets = c.offsets().to_vec();
-                offsets.resize(n + 1, *offsets.last().expect("offsets never empty"));
-                (offsets, c.rids().to_vec())
-            };
-            LineageIndex::Csr(CsrRidIndex::from_parts(offsets, rids))
-        }
-        LineageIndex::Identity(m) => {
-            if n <= *m {
-                LineageIndex::Identity(n)
-            } else {
-                // The child covers fewer positions: the tail has no lineage.
-                let mut data: Vec<Rid> = (0..*m as Rid).collect();
-                data.resize(n, NO_RID);
-                LineageIndex::Array(RidArray::from_vec(data))
-            }
+    fn with_parent(len: usize, parent: &impl Entries, child: &LineageIndex) -> CsrRidIndex {
+        match child {
+            LineageIndex::Array(c) => fill(len, parent, c),
+            LineageIndex::Index(c) => fill(len, parent, c),
+            LineageIndex::Csr(c) => fill(len, parent, c),
+            LineageIndex::Identity(n) => fill(len, parent, &Domain(*n)),
         }
     }
-}
-
-/// `parent ∘ Identity(n)`: the parent's mapping with every target outside the
-/// identity's domain `0..n` dropped.
-fn restrict_targets(parent: &LineageIndex, n: usize) -> LineageIndex {
-    let in_domain = |r: Rid| (r as usize) < n;
+    let len = parent.len();
     match parent {
-        LineageIndex::Array(a) => {
-            let clean = a.iter().all(|r| r == NO_RID || in_domain(r));
-            if clean {
-                parent.clone()
-            } else {
-                LineageIndex::Array(RidArray::from_vec(
-                    a.iter()
-                        .map(|r| {
-                            if r != NO_RID && in_domain(r) {
-                                r
-                            } else {
-                                NO_RID
-                            }
-                        })
-                        .collect(),
-                ))
-            }
-        }
-        LineageIndex::Index(i) => {
-            let clean = i
-                .iter()
-                .all(|(_, rids)| rids.iter().copied().all(in_domain));
-            if clean {
-                parent.clone()
-            } else {
-                LineageIndex::Index(RidIndex::from_entries(
-                    i.iter()
-                        .map(|(_, rids)| rids.iter().copied().filter(|&r| in_domain(r)).collect())
-                        .collect(),
-                ))
-            }
-        }
-        LineageIndex::Csr(c) => {
-            let survivors = c.rids().iter().copied().filter(|&r| in_domain(r)).count();
-            if survivors == c.edge_count() {
-                parent.clone()
-            } else {
-                // Pre-counted so both buffers stay exactly sized, preserving
-                // the CSR contract that `heap_bytes` carries no slack.
-                let mut offsets = Vec::with_capacity(c.len() + 1);
-                offsets.push(0u32);
-                let mut rids = Vec::with_capacity(survivors);
-                for (_, entry) in c.iter() {
-                    rids.extend(entry.iter().copied().filter(|&r| in_domain(r)));
-                    offsets.push(crate::csr::checked_offset(rids.len() as u64));
-                }
-                LineageIndex::Csr(CsrRidIndex::from_parts(offsets, rids))
-            }
-        }
-        LineageIndex::Identity(_) => unreachable!("identity parents are handled earlier"),
+        LineageIndex::Array(p) => with_parent(len, p, child),
+        LineageIndex::Index(p) => with_parent(len, p, child),
+        LineageIndex::Csr(p) => with_parent(len, p, child),
+        LineageIndex::Identity(n) => with_parent(len, &Domain(*n), child),
     }
 }
 
@@ -318,35 +290,35 @@ mod tests {
     }
 
     #[test]
-    fn csr_parent_fast_paths_match_general_composition() {
+    fn csr_parent_matches_index_parent() {
         let parent_entries = vec![vec![0, 2], vec![1], vec![], vec![2, 0, 1]];
         let parent_idx = LineageIndex::Index(RidIndex::from_entries(parent_entries));
         let parent_csr = parent_idx.clone().finalize();
 
-        // CSR×Array.
+        // Array child.
         let mut child_arr = RidArray::filled(3);
         child_arr.set(0, 10);
         child_arr.set(2, 12);
         let child = LineageIndex::Array(child_arr);
-        let general = compose_backward(&parent_idx, &child);
-        let fast = compose_backward(&parent_csr, &child);
-        assert!(matches!(fast, LineageIndex::Csr(_)));
-        assert_eq!(fast.len(), general.len());
-        for pos in 0..general.len() as Rid {
-            assert_eq!(fast.lookup(pos), general.lookup(pos));
+        let from_index = compose_backward(&parent_idx, &child);
+        let from_csr = compose_backward(&parent_csr, &child);
+        assert!(matches!(from_csr, LineageIndex::Csr(_)));
+        assert_eq!(from_csr.len(), from_index.len());
+        for pos in 0..from_index.len() as Rid {
+            assert_eq!(from_csr.lookup(pos), from_index.lookup(pos));
         }
 
-        // CSR×CSR.
+        // CSR child.
         let child_n =
             LineageIndex::Index(RidIndex::from_entries(vec![vec![5, 6], vec![], vec![7]]));
         let child_csr = child_n.clone().finalize();
-        let general = compose_backward(&parent_idx, &child_n);
-        let fast = compose_backward(&parent_csr, &child_csr);
-        assert!(matches!(fast, LineageIndex::Csr(_)));
-        for pos in 0..general.len() as Rid {
-            assert_eq!(fast.lookup(pos), general.lookup(pos));
+        let from_index = compose_backward(&parent_idx, &child_n);
+        let from_csr = compose_backward(&parent_csr, &child_csr);
+        assert!(matches!(from_csr, LineageIndex::Csr(_)));
+        for pos in 0..from_index.len() as Rid {
+            assert_eq!(from_csr.lookup(pos), from_index.lookup(pos));
         }
-        assert_eq!(fast.edge_count(), general.edge_count());
+        assert_eq!(from_csr.edge_count(), from_index.edge_count());
     }
 
     #[test]
