@@ -1,6 +1,7 @@
 //! Hashable composite keys for group-by and join hash tables.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use smoke_storage::{Column, Relation, Value};
@@ -120,6 +121,150 @@ impl<'a> KeyExtractor<'a> {
                 .map(|c| KeyPart::from_value(&c.value(rid)))
                 .collect(),
         )
+    }
+}
+
+/// One chunk's key columns in their typed shape: a plain `i64` slice,
+/// `(i64, i64)` pairs, a borrowed `&str` column, or the generic [`HashKey`]
+/// extractor for every other shape. A view lives as long as its chunk; the
+/// [`KeyTable`] it probes owns its keys and outlives every chunk.
+pub(crate) enum KeyView<'c> {
+    Int(&'c [i64]),
+    Pair(Vec<(i64, i64)>),
+    Str(&'c [String]),
+    Generic(KeyExtractor<'c>),
+}
+
+impl<'c> KeyView<'c> {
+    /// Views the columns `keys` of `chunk`.
+    pub(crate) fn new(chunk: &'c Relation, keys: &[String]) -> Result<KeyView<'c>> {
+        use smoke_storage::kernels as sk;
+        let extractor = KeyExtractor::new(chunk, keys)?;
+        let columns = extractor.columns();
+        Ok(if let Some(k) = sk::int_keys(columns) {
+            KeyView::Int(k)
+        } else if let Some(k) = sk::int_key_pairs(columns) {
+            KeyView::Pair(k)
+        } else if let Some(k) = sk::str_keys(columns) {
+            KeyView::Str(k)
+        } else {
+            KeyView::Generic(extractor)
+        })
+    }
+
+    /// The key of `row` as the [`HashKey`] [`KeyExtractor::key`] builds
+    /// (needed once per distinct key: for output values and hints).
+    pub(crate) fn key(&self, row: usize) -> HashKey {
+        match self {
+            KeyView::Int(k) => HashKey::Int(k[row]),
+            KeyView::Pair(k) => {
+                HashKey::Composite(vec![KeyPart::Int(k[row].0), KeyPart::Int(k[row].1)])
+            }
+            KeyView::Str(k) => HashKey::Str(k[row].clone()),
+            KeyView::Generic(extractor) => extractor.key(row),
+        }
+    }
+}
+
+/// Slot value of a [`KeyTable::Dense`] table for "no id assigned yet".
+const NO_ID: u32 = u32::MAX;
+
+/// A map from keys to dense ids (group ids, build-table entries) that owns
+/// its keys, so it persists across the chunks of a scan and is probed
+/// through each chunk's [`KeyView`]: an `i64`, an `(i64, i64)` pair, a
+/// string looked up by `&str` (boxed: a 16-byte key keeps buckets as small
+/// as a borrowed `&str` key's), or a generic [`HashKey`].
+///
+/// A single integer key whose whole domain is known before the scan — the
+/// view covers every row the table will see — gets a dense id array
+/// instead: one array index per row instead of a hash.
+pub(crate) enum KeyTable {
+    Dense { min: i64, ids: Vec<u32> },
+    Int(HashMap<i64, u32>),
+    Pair(HashMap<(i64, i64), u32>),
+    Str(HashMap<Box<str>, u32>),
+    Generic(HashMap<HashKey, u32>),
+}
+
+impl KeyTable {
+    /// An empty table shaped like `keys`. `whole_input` says that `keys`
+    /// views every row the table will ever be filled from.
+    pub(crate) fn new(keys: &KeyView, whole_input: bool) -> KeyTable {
+        match keys {
+            KeyView::Int(k) => {
+                if let (true, Some((min, max))) =
+                    (whole_input, smoke_storage::kernels::int_min_max(k))
+                {
+                    let width = max as i128 - min as i128 + 1;
+                    // The dense table pays 4 bytes per domain slot; cap it at
+                    // a small multiple of the input so sparse domains hash.
+                    if width <= 4 * k.len().max(256) as i128 {
+                        return KeyTable::Dense {
+                            min,
+                            ids: vec![NO_ID; width as usize],
+                        };
+                    }
+                }
+                KeyTable::Int(HashMap::new())
+            }
+            KeyView::Pair(_) => KeyTable::Pair(HashMap::new()),
+            KeyView::Str(_) => KeyTable::Str(HashMap::new()),
+            KeyView::Generic(_) => KeyTable::Generic(HashMap::new()),
+        }
+    }
+
+    /// The id of `row`'s key, if it has one. Always inlined: the call sits
+    /// in every operator's per-row loop, where an outlined call measurably
+    /// slows the hash-join probe.
+    #[inline(always)]
+    pub(crate) fn get(&self, keys: &KeyView, row: usize) -> Option<u32> {
+        match (self, keys) {
+            (KeyTable::Dense { min, ids }, KeyView::Int(k)) => dense_get(*min, ids, k[row]),
+            (KeyTable::Int(m), KeyView::Int(k)) => m.get(&k[row]).copied(),
+            (KeyTable::Pair(m), KeyView::Pair(k)) => m.get(&k[row]).copied(),
+            (KeyTable::Str(m), KeyView::Str(k)) => m.get(k[row].as_str()).copied(),
+            (KeyTable::Generic(m), KeyView::Generic(extractor)) => {
+                m.get(&extractor.key(row)).copied()
+            }
+            // A view's shape follows its key columns' types, so keys viewed
+            // in different shapes (a join whose sides key on different
+            // types) never compare equal as `HashKey`s either.
+            _ => None,
+        }
+    }
+
+    /// Assigns `id` to `row`'s key, which has none yet.
+    pub(crate) fn insert(&mut self, keys: &KeyView, row: usize, id: u32) {
+        match (self, keys) {
+            (KeyTable::Dense { min, ids }, KeyView::Int(k)) => ids[(k[row] - *min) as usize] = id,
+            (KeyTable::Int(m), KeyView::Int(k)) => {
+                m.insert(k[row], id);
+            }
+            (KeyTable::Pair(m), KeyView::Pair(k)) => {
+                m.insert(k[row], id);
+            }
+            (KeyTable::Str(m), KeyView::Str(k)) => {
+                m.insert(k[row].as_str().into(), id);
+            }
+            (KeyTable::Generic(m), KeyView::Generic(extractor)) => {
+                m.insert(extractor.key(row), id);
+            }
+            // Every chunk of one input has the schema's key types, so the
+            // views a table is filled through share the shape it was built
+            // from.
+            _ => unreachable!("a key table is filled through a view of another shape"),
+        }
+    }
+}
+
+/// Dense-table lookup. A key outside the domain wraps to an index past the
+/// end, so it reads as absent.
+#[inline]
+fn dense_get(min: i64, ids: &[u32], key: i64) -> Option<u32> {
+    let slot = usize::try_from(key.wrapping_sub(min) as u64).ok()?;
+    match ids.get(slot) {
+        Some(&NO_ID) | None => None,
+        Some(&id) => Some(id),
     }
 }
 

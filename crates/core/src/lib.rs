@@ -5,7 +5,9 @@
 //! lineage capture, plus the baseline capture techniques and workload-aware
 //! optimizations the paper evaluates against. Operators run row-at-a-time
 //! (the paper's reference form), vectorized over compiled [`kernels`], or
-//! morsel-parallel with per-thread capture ([`parallel`]).
+//! morsel-parallel with per-thread capture ([`parallel`]). Inputs may be
+//! resident or spilled to a buffer pool ([`paged`]): one body per operator;
+//! residency is the chunk source the body scans.
 //!
 //! The crate is organised around the paper's structure:
 //!

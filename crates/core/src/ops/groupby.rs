@@ -27,12 +27,17 @@ use smoke_lineage::{
     CaptureStats, CsrBuilder, InputLineage, LineageIndex, OperatorLineage, PartitionedRidIndex,
     RidArray, RidIndex,
 };
-use smoke_storage::{Column, DataType, Relation, Rid, Value};
+use smoke_storage::{
+    Column, DataType, Field, Relation, Rid, Schema, SelectionMask, StorageError, Value,
+};
 
 use crate::agg::{AggExpr, AggFunc, AggState};
 use crate::error::{EngineError, Result};
-use crate::instrument::{CaptureMode, CardinalityHints, DirectionFilter, WorkloadOptions};
-use crate::key::{HashKey, KeyExtractor, KeyPart};
+use crate::instrument::{
+    AggPushdown, CaptureMode, CardinalityHints, DirectionFilter, WorkloadOptions,
+};
+use crate::key::{HashKey, KeyExtractor, KeyTable, KeyView};
+use crate::ops::source::ChunkSource;
 use crate::workload::{LineageCube, WorkloadArtifacts};
 
 /// Options controlling group-by instrumentation.
@@ -100,154 +105,9 @@ struct GroupEntry {
     key_values: Vec<Value>,
     states: Vec<AggState>,
     i_rids: RidArray,
-    count: u32,
-    /// Rows that passed the selection push-down (== `count` without one);
+    /// Rows that passed the selection push-down (every row without one);
     /// the exact backward cardinality the Defer pass allocates with.
     lineage_count: u32,
-}
-
-/// Sentinel in the dense group-id table for "no group assigned yet".
-const NO_GROUP: u32 = u32::MAX;
-
-/// The result of probing a [`KeyMode`] for one row: either the row's group
-/// already exists, or a new group must be created for the returned key.
-enum Probe {
-    Hit(u32),
-    Miss(HashKey),
-}
-
-/// Vectorized group-key lookup, specialised by the typed shape of the key
-/// columns (paper §3.2.3's `γht`, hardware-conscious edition).
-///
-/// Single integer keys with a bounded domain use a dense gid table (one
-/// array index per row instead of a hash); wide integer domains and integer
-/// pairs hash the primitive key directly (no per-row [`HashKey`]
-/// construction, no allocation for composite keys); a single string key
-/// hashes the `&str` borrowed from the column (no per-row `String` clone, in
-/// the build phase or the Defer re-probe); everything else falls back to the
-/// generic [`HashKey`] path. The choice mirrors `hash_join`'s typed key
-/// paths.
-enum KeyMode<'a> {
-    DenseInt {
-        keys: &'a [i64],
-        min: i64,
-        table: Vec<u32>,
-    },
-    HashInt {
-        keys: &'a [i64],
-        ht: HashMap<i64, u32>,
-    },
-    HashPair {
-        keys: Vec<(i64, i64)>,
-        ht: HashMap<(i64, i64), u32>,
-    },
-    HashStr {
-        keys: &'a [String],
-        ht: HashMap<&'a str, u32>,
-    },
-    Generic {
-        ht: HashMap<HashKey, u32>,
-    },
-}
-
-impl<'a> KeyMode<'a> {
-    fn new(extractor: &KeyExtractor<'a>, n: usize) -> KeyMode<'a> {
-        if let Some(keys) = smoke_storage::kernels::int_keys(extractor.columns()) {
-            if let Some((min, max)) = smoke_storage::kernels::int_min_max(keys) {
-                let width = max as i128 - min as i128 + 1;
-                // The dense table pays 4 bytes per domain slot; cap it at a
-                // small multiple of the input so sparse domains hash instead.
-                if width <= 4 * n.max(256) as i128 {
-                    return KeyMode::DenseInt {
-                        keys,
-                        min,
-                        table: vec![NO_GROUP; width as usize],
-                    };
-                }
-            }
-            return KeyMode::HashInt {
-                keys,
-                ht: HashMap::new(),
-            };
-        }
-        if let Some(keys) = smoke_storage::kernels::int_key_pairs(extractor.columns()) {
-            return KeyMode::HashPair {
-                keys,
-                ht: HashMap::new(),
-            };
-        }
-        if let Some(keys) = smoke_storage::kernels::str_keys(extractor.columns()) {
-            return KeyMode::HashStr {
-                keys,
-                ht: HashMap::new(),
-            };
-        }
-        KeyMode::Generic { ht: HashMap::new() }
-    }
-
-    /// Looks up the group of `rid`, or reports the key a new group needs.
-    #[inline]
-    fn probe(&self, rid: usize, extractor: &KeyExtractor) -> Probe {
-        match self {
-            KeyMode::DenseInt { keys, min, table } => match table[(keys[rid] - min) as usize] {
-                NO_GROUP => Probe::Miss(HashKey::Int(keys[rid])),
-                gid => Probe::Hit(gid),
-            },
-            KeyMode::HashInt { keys, ht } => match ht.get(&keys[rid]) {
-                Some(&gid) => Probe::Hit(gid),
-                None => Probe::Miss(HashKey::Int(keys[rid])),
-            },
-            KeyMode::HashPair { keys, ht } => match ht.get(&keys[rid]) {
-                Some(&gid) => Probe::Hit(gid),
-                None => {
-                    let (a, b) = keys[rid];
-                    Probe::Miss(HashKey::Composite(vec![KeyPart::Int(a), KeyPart::Int(b)]))
-                }
-            },
-            KeyMode::HashStr { keys, ht } => match ht.get(keys[rid].as_str()) {
-                Some(&gid) => Probe::Hit(gid),
-                None => Probe::Miss(HashKey::Str(keys[rid].clone())),
-            },
-            KeyMode::Generic { ht } => {
-                let key = extractor.key(rid);
-                match ht.get(&key) {
-                    Some(&gid) => Probe::Hit(gid),
-                    None => Probe::Miss(key),
-                }
-            }
-        }
-    }
-
-    /// Registers a freshly created group for `rid` (the second half of a
-    /// [`Probe::Miss`]; only runs once per distinct group).
-    fn record(&mut self, rid: usize, key: HashKey, gid: u32) {
-        match self {
-            KeyMode::DenseInt { keys, min, table } => {
-                table[(keys[rid] - *min) as usize] = gid;
-            }
-            KeyMode::HashInt { keys, ht } => {
-                ht.insert(keys[rid], gid);
-            }
-            KeyMode::HashPair { keys, ht } => {
-                ht.insert(keys[rid], gid);
-            }
-            KeyMode::HashStr { keys, ht } => {
-                ht.insert(keys[rid].as_str(), gid);
-            }
-            KeyMode::Generic { ht } => {
-                ht.insert(key, gid);
-            }
-        }
-    }
-
-    /// The (existing) group of `rid`, used by the Defer re-probe pass.
-    #[inline]
-    fn lookup(&self, rid: usize, extractor: &KeyExtractor) -> u32 {
-        match self.probe(rid, extractor) {
-            Probe::Hit(gid) => gid,
-            Probe::Miss(_) => unreachable!("defer pass re-probes only known keys"),
-        }
-    }
 }
 
 pub(crate) struct AggInputs<'a> {
@@ -286,6 +146,61 @@ impl<'a> AggInputs<'a> {
     }
 }
 
+/// What one chunk feeds the build pass: its typed group keys, aggregate
+/// inputs and — when capturing — the workload-aware columns. Resolving it
+/// against a zero-row probe validates every column reference.
+struct ChunkInputs<'c> {
+    keys: KeyView<'c>,
+    aggs: AggInputs<'c>,
+    /// Selection push-down: the rows of the chunk that enter the lineage
+    /// indexes, evaluated once per chunk through the kernel layer.
+    pushdown: Option<SelectionMask>,
+    skip: Option<KeyExtractor<'c>>,
+    cube: Option<(&'c AggPushdown, KeyExtractor<'c>, AggInputs<'c>)>,
+}
+
+impl<'c> ChunkInputs<'c> {
+    fn resolve(
+        chunk: &'c Relation,
+        keys: &[String],
+        aggs: &[AggExpr],
+        opts: &'c GroupByOptions,
+    ) -> Result<Self> {
+        let capture = opts.mode.captures();
+        let wl = &opts.workload;
+        // Uninstrumented runs never read the push-down mask, so they only
+        // bind the predicate (validating it) without paying for the scan.
+        let pushdown = match &wl.selection_pushdown {
+            Some(expr) if capture => Some(crate::kernels::predicate_mask(chunk, expr)?),
+            Some(expr) => {
+                expr.bind(chunk)?;
+                None
+            }
+            None => None,
+        };
+        let skip = if capture && !wl.skipping_partition_by.is_empty() {
+            Some(KeyExtractor::new(chunk, &wl.skipping_partition_by)?)
+        } else {
+            None
+        };
+        let cube = match (&wl.agg_pushdown, capture) {
+            (Some(pd), true) => Some((
+                pd,
+                KeyExtractor::new(chunk, &pd.partition_by)?,
+                AggInputs::resolve(chunk, &pd.aggs)?,
+            )),
+            _ => None,
+        };
+        Ok(ChunkInputs {
+            keys: KeyView::new(chunk, keys)?,
+            aggs: AggInputs::resolve(chunk, aggs)?,
+            pushdown,
+            skip,
+            cube,
+        })
+    }
+}
+
 /// Executes `SELECT keys, aggs FROM input GROUP BY keys` with the configured
 /// instrumentation.
 pub fn group_by(
@@ -294,10 +209,28 @@ pub fn group_by(
     aggs: &[AggExpr],
     opts: &GroupByOptions,
 ) -> Result<GroupByResult> {
+    group_by_over(input, keys, aggs, opts)
+}
+
+/// The group-by body over any [`ChunkSource`]. The key table, aggregation
+/// state and lineage indexes live in RAM across chunks (they are the
+/// operator's working set), so the result is the same rid for rid whether
+/// the input is one resident chunk or a stream of paged ones.
+pub(crate) fn group_by_over(
+    input: &impl ChunkSource,
+    keys: &[String],
+    aggs: &[AggExpr],
+    opts: &GroupByOptions,
+) -> Result<GroupByResult> {
     let start = Instant::now();
     let n = input.len();
-    let extractor = KeyExtractor::new(input, keys)?;
-    let agg_inputs = AggInputs::resolve(input, aggs)?;
+    let probe = input.probe();
+    ChunkInputs::resolve(&probe, keys, aggs, opts)?;
+    let key_types: Vec<DataType> = KeyExtractor::new(&probe, keys)?
+        .columns()
+        .iter()
+        .map(|c| c.data_type())
+        .collect();
 
     let capture = opts.mode.captures();
     let capture_b = capture && opts.directions.backward();
@@ -305,135 +238,118 @@ pub fn group_by(
     // For group-by there are only two paradigms; DeferForward degenerates to
     // Inject (it is join-specific).
     let inject = matches!(opts.mode, CaptureMode::Inject | CaptureMode::DeferForward);
-
-    // Workload-aware set-up. The push-down predicate is evaluated once for
-    // the whole input through the kernel layer (falling back to the
-    // interpreter for arbitrary shapes); the capture loop then tests a bit
-    // per row instead of re-interpreting the expression. Uninstrumented runs
-    // never read the mask, so they only bind (validating the expression)
-    // without paying for the scan.
     let wl = &opts.workload;
-    let pushdown_mask = match &wl.selection_pushdown {
-        Some(expr) if capture => Some(crate::kernels::predicate_mask(input, expr)?),
-        Some(expr) => {
-            expr.bind(input)?;
-            None
-        }
-        None => None,
-    };
-    let skip_extractor = if capture && !wl.skipping_partition_by.is_empty() {
-        Some(KeyExtractor::new(input, &wl.skipping_partition_by)?)
-    } else {
-        None
-    };
-    let cube_setup = match (&wl.agg_pushdown, capture) {
-        (Some(pd), true) => {
-            let ex = KeyExtractor::new(input, &pd.partition_by)?;
-            let cols = AggInputs::resolve(input, &pd.aggs)?;
-            Some((pd, ex, cols))
-        }
-        _ => None,
-    };
 
-    // γht: build phase. The group-id lookup runs over typed key vectors
-    // extracted once (dense table / primitive-key hash for integer keys,
-    // borrowed `&str` hash for a string key), falling back to per-row
-    // `HashKey` construction for other shapes.
-    let mut key_mode = KeyMode::new(&extractor, n);
+    // γht: build phase. The key table is created from the first chunk's
+    // view; only a chunk holding the whole input knows the key domain up
+    // front, which the dense integer table needs.
+    let mut table: Option<KeyTable> = None;
     let mut groups: Vec<GroupEntry> = Vec::new();
     let mut forward = if capture_f && inject {
         RidArray::filled(n)
     } else {
         RidArray::new()
     };
-    let mut partitioned = skip_extractor
-        .as_ref()
-        .map(|_| PartitionedRidIndex::new(wl.skipping_partition_by.join(",")));
-    let mut cube = cube_setup
-        .as_ref()
-        .map(|(pd, _, _)| LineageCube::new(0, pd.partition_by.clone(), pd.aggs.clone()));
+    let mut partitioned = (capture && !wl.skipping_partition_by.is_empty())
+        .then(|| PartitionedRidIndex::new(wl.skipping_partition_by.join(",")));
+    let mut cube = match (&wl.agg_pushdown, capture) {
+        (Some(pd), true) => Some(LineageCube::new(
+            0,
+            pd.partition_by.clone(),
+            pd.aggs.clone(),
+        )),
+        _ => None,
+    };
+    // The Defer pass re-reads the keys but reuses the build pass's push-down
+    // mask, so both passes agree on which rows enter the indexes.
+    let mut deferred_mask = (capture && !inject && wl.selection_pushdown.is_some())
+        .then(|| SelectionMask::all_false(0));
 
-    for rid in 0..n {
-        let gid = match key_mode.probe(rid, &extractor) {
-            Probe::Hit(gid) => gid,
-            Probe::Miss(key) => {
-                let gid = groups.len() as u32;
-                let hinted_cap = opts.hints.as_ref().and_then(|h| h.cardinality(&key));
-                let i_rids = match hinted_cap {
-                    Some(cap) if capture_b && inject => RidArray::with_capacity(cap),
-                    _ => RidArray::new(),
-                };
-                groups.push(GroupEntry {
-                    key_values: key.to_values(),
-                    states: aggs.iter().map(AggExpr::new_state).collect(),
-                    i_rids,
-                    count: 0,
-                    lineage_count: 0,
-                });
-                key_mode.record(rid, key, gid);
-                gid
-            }
-        };
-        let entry = &mut groups[gid as usize];
-        agg_inputs.update(&mut entry.states, aggs, rid);
-        entry.count += 1;
+    for item in input.chunks() {
+        let (first, chunk) = item?;
+        let chunk: &Relation = &chunk;
+        let c = ChunkInputs::resolve(chunk, keys, aggs, opts)?;
+        let table = table.get_or_insert_with(|| KeyTable::new(&c.keys, chunk.len() == n));
+        for local in 0..chunk.len() {
+            let rid = first + local;
+            let gid = match table.get(&c.keys, local) {
+                Some(gid) => gid,
+                None => {
+                    let key = c.keys.key(local);
+                    let gid = groups.len() as u32;
+                    let hinted_cap = opts.hints.as_ref().and_then(|h| h.cardinality(&key));
+                    let i_rids = match hinted_cap {
+                        Some(cap) if capture_b && inject => RidArray::with_capacity(cap),
+                        _ => RidArray::new(),
+                    };
+                    groups.push(GroupEntry {
+                        key_values: key.to_values(),
+                        states: aggs.iter().map(AggExpr::new_state).collect(),
+                        i_rids,
+                        lineage_count: 0,
+                    });
+                    table.insert(&c.keys, local, gid);
+                    gid
+                }
+            };
+            let entry = &mut groups[gid as usize];
+            c.aggs.update(&mut entry.states, aggs, local);
 
-        if capture {
             // Selection push-down: only rows satisfying the future consuming
             // query's predicate enter the lineage indexes.
-            let include = pushdown_mask.as_ref().is_none_or(|m| m.get(rid));
-            if include {
-                entry.lineage_count += 1;
-                if capture_b && inject {
-                    entry.i_rids.push(rid as Rid);
-                }
-                if capture_f && inject {
-                    forward.set(rid, gid);
-                }
-                if let Some(part) = partitioned.as_mut() {
-                    let key = skip_extractor.as_ref().unwrap().key(rid);
-                    part.append(gid as usize, &render_partition_key(&key), rid as Rid);
-                }
-                if let Some((pd, ex, cols)) = cube_setup.as_ref() {
-                    let pkey = ex.key(rid);
-                    let key_values = pkey.to_values();
-                    let mut inputs = Vec::with_capacity(pd.aggs.len());
-                    let mut distinct = Vec::with_capacity(pd.aggs.len());
-                    for (i, agg) in pd.aggs.iter().enumerate() {
-                        match (&agg.func, cols.columns[i]) {
-                            (AggFunc::CountDistinct, Some(col)) => {
-                                inputs.push(0.0);
-                                distinct.push(Some(col.value(rid).group_key()));
-                            }
-                            (_, Some(col)) => {
-                                inputs.push(col.numeric(rid).unwrap_or(0.0));
-                                distinct.push(None);
-                            }
-                            (_, None) => {
-                                inputs.push(0.0);
-                                distinct.push(None);
-                            }
+            if !capture || !c.pushdown.as_ref().is_none_or(|m| m.get(local)) {
+                continue;
+            }
+            entry.lineage_count += 1;
+            if capture_b && inject {
+                entry.i_rids.push(rid as Rid);
+            }
+            if capture_f && inject {
+                forward.set(rid, gid);
+            }
+            if let (Some(part), Some(skip)) = (partitioned.as_mut(), c.skip.as_ref()) {
+                let key = skip.key(local);
+                part.append(gid as usize, &render_partition_key(&key), rid as Rid);
+            }
+            if let (Some(cube), Some((pd, ex, cols))) = (cube.as_mut(), c.cube.as_ref()) {
+                let pkey = ex.key(local);
+                let key_values = pkey.to_values();
+                let mut inputs = Vec::with_capacity(pd.aggs.len());
+                let mut distinct = Vec::with_capacity(pd.aggs.len());
+                for (i, agg) in pd.aggs.iter().enumerate() {
+                    match (&agg.func, cols.columns[i]) {
+                        (AggFunc::CountDistinct, Some(col)) => {
+                            inputs.push(0.0);
+                            distinct.push(Some(col.value(local).group_key()));
+                        }
+                        (_, Some(col)) => {
+                            inputs.push(col.numeric(local).unwrap_or(0.0));
+                            distinct.push(None);
+                        }
+                        (_, None) => {
+                            inputs.push(0.0);
+                            distinct.push(None);
                         }
                     }
-                    cube.as_mut().unwrap().update(
-                        gid as usize,
-                        &render_partition_key(&pkey),
-                        &key_values,
-                        &inputs,
-                        &distinct,
-                    );
                 }
+                cube.update(
+                    gid as usize,
+                    &render_partition_key(&pkey),
+                    &key_values,
+                    &inputs,
+                    &distinct,
+                );
             }
+        }
+        if let (Some(all), Some(mask)) = (deferred_mask.as_mut(), c.pushdown.as_ref()) {
+            all.append(mask);
         }
     }
 
     // γagg: scan phase — finalize aggregates and emit output records.
-    let mut key_cols: Vec<Column> = keys
+    let mut key_cols: Vec<Column> = key_types
         .iter()
-        .map(|name| {
-            let idx = input.column_index(name).expect("validated by extractor");
-            Column::with_capacity(input.schema().field(idx).data_type, groups.len())
-        })
+        .map(|&t| Column::with_capacity(t, groups.len()))
         .collect();
     let mut agg_cols: Vec<Column> = aggs
         .iter()
@@ -453,18 +369,22 @@ pub fn group_by(
         }
     }
 
-    let mut builder = Relation::builder(format!("groupby({})", input.name()));
-    for name in keys {
-        let idx = input.column_index(name)?;
-        builder = builder.column(name.clone(), input.schema().field(idx).data_type);
-    }
-    for agg in aggs {
-        builder = builder.column(agg.alias.clone(), agg.output_type());
-    }
-    let schema = builder.build()?.schema().clone();
+    let fields = keys
+        .iter()
+        .zip(&key_types)
+        .map(|(name, &t)| Field::new(name.clone(), t))
+        .chain(
+            aggs.iter()
+                .map(|a| Field::new(a.alias.clone(), a.output_type())),
+        )
+        .collect();
     let mut columns = key_cols;
     columns.append(&mut agg_cols);
-    let output = Relation::from_columns(format!("groupby({})", input.name()), schema, columns)?;
+    let output = Relation::from_columns(
+        format!("groupby({})", input.name()),
+        Schema::new(fields)?,
+        columns,
+    )?;
     let base_query = start.elapsed();
 
     if !capture {
@@ -480,9 +400,11 @@ pub fn group_by(
         });
     }
 
-    // Defer pass: re-probe the pinned hash table. Per-group cardinalities
-    // are exact by now, so the backward index is built directly in CSR form —
-    // two flat buffers allocated once, zero resizes, no per-group arrays.
+    // Defer pass: re-scan the input against the pinned key table (out of
+    // core this re-pins every data page, the realistic cost of deferral).
+    // Per-group cardinalities are exact by now, so the backward index is
+    // built directly in CSR form — two flat buffers allocated once, zero
+    // resizes, no per-group arrays.
     let defer_start = Instant::now();
     let mut deferred_backward: Option<CsrBuilder> = None;
     if !inject {
@@ -494,17 +416,25 @@ pub fn group_by(
         if capture_f {
             forward = RidArray::filled(n);
         }
-        for rid in 0..n {
-            let include = pushdown_mask.as_ref().is_none_or(|m| m.get(rid));
-            if !include {
-                continue;
-            }
-            let gid = key_mode.lookup(rid, &extractor);
-            if let Some(b) = deferred_backward.as_mut() {
-                b.append(gid as usize, rid as Rid);
-            }
-            if capture_f {
-                forward.set(rid, gid);
+        for item in input.chunks() {
+            let (first, chunk) = item?;
+            let chunk: &Relation = &chunk;
+            let view = KeyView::new(chunk, keys)?;
+            for local in 0..chunk.len() {
+                let rid = first + local;
+                if !deferred_mask.as_ref().is_none_or(|m| m.get(rid)) {
+                    continue;
+                }
+                let gid = table
+                    .as_ref()
+                    .and_then(|t| t.get(&view, local))
+                    .ok_or_else(|| unseen_key(rid))?;
+                if let Some(b) = deferred_backward.as_mut() {
+                    b.append(gid as usize, rid as Rid);
+                }
+                if capture_f {
+                    forward.set(rid, gid);
+                }
             }
         }
     }
@@ -548,6 +478,18 @@ pub fn group_by(
         artifacts: WorkloadArtifacts { partitioned, cube },
         stats,
     })
+}
+
+/// The Defer pass met a key the build pass never saw. Only an input that
+/// changed between the two scans can do that — a re-read spilled page that
+/// differs from its first read — so it is reported as a storage fault
+/// instead of dropping the row's lineage.
+fn unseen_key(rid: usize) -> EngineError {
+    StorageError::Pager(format!(
+        "group-by defer pass read a key at rid {rid} that its build pass never saw; \
+         the input changed between scans"
+    ))
+    .into()
 }
 
 /// Renders a partition key in a stable human-readable form (partition
@@ -828,5 +770,83 @@ mod tests {
             &GroupByOptions::inject()
         )
         .is_err());
+    }
+
+    use std::borrow::Cow;
+
+    /// A source whose build scan reads `first` and whose every later scan
+    /// reads `second`: a spilled page that changed between two reads.
+    struct ChangingSource {
+        first: Relation,
+        second: Relation,
+        scans: std::cell::Cell<usize>,
+    }
+
+    impl ChunkSource for ChangingSource {
+        fn len(&self) -> usize {
+            self.first.len()
+        }
+
+        fn schema(&self) -> &smoke_storage::Schema {
+            self.first.schema()
+        }
+
+        fn name(&self) -> &str {
+            self.first.name()
+        }
+
+        fn chunks(&self) -> impl Iterator<Item = Result<(usize, Cow<'_, Relation>)>> {
+            let scan = self.scans.replace(self.scans.get() + 1);
+            let chunk = if scan == 0 { &self.first } else { &self.second };
+            std::iter::once(Ok((0, Cow::Borrowed(chunk))))
+        }
+
+        fn gather(&self, rids: &[Rid], name: String) -> Result<Relation> {
+            Ok(self.first.gather(rids, name))
+        }
+    }
+
+    fn keyed(zs: &[i64]) -> Relation {
+        let mut b = Relation::builder("t")
+            .column("z", DataType::Int)
+            .column("tag", DataType::Str);
+        for &z in zs {
+            b = b.row(vec![Value::Int(z), Value::Str(format!("k{z}"))]);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn defer_pass_reports_a_key_the_build_pass_never_saw() {
+        // `2` is unseen inside the dense domain [1, 3], `9` outside it; the
+        // `tag` key takes the hashed string table.
+        for (changed, key) in [(2, "z"), (9, "z"), (2, "tag")] {
+            let source = |second: &[i64]| ChangingSource {
+                first: keyed(&[1, 3, 1, 3]),
+                second: keyed(second),
+                scans: std::cell::Cell::new(0),
+            };
+            let keys = [key.to_string()];
+            let aggs = [AggExpr::count("cnt")];
+            let err = group_by_over(
+                &source(&[1, 3, changed, 3]),
+                &keys,
+                &aggs,
+                &GroupByOptions::defer(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, EngineError::Storage(StorageError::Pager(_))),
+                "{key}={changed}: {err}"
+            );
+            // Inject scans once, and an unchanged re-read defers cleanly.
+            for (second, opts) in [
+                (vec![1, 3, changed, 3], GroupByOptions::inject()),
+                (vec![1, 3, 1, 3], GroupByOptions::defer()),
+            ] {
+                let out = group_by_over(&source(&second), &keys, &aggs, &opts).unwrap();
+                assert_eq!(out.lineage.input(0).backward().lookup(0), vec![0, 2]);
+            }
+        }
     }
 }

@@ -20,7 +20,6 @@
 //!   the right-side forward index is a plain rid array — backward indexes are
 //!   pre-allocated and Inject/Defer coincide.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use smoke_lineage::{
@@ -31,7 +30,8 @@ use smoke_storage::{Relation, Rid, Schema};
 
 use crate::error::Result;
 use crate::instrument::{CaptureMode, CardinalityHints, DirectionFilter};
-use crate::key::KeyExtractor;
+use crate::key::{KeyTable, KeyView};
+use crate::ops::source::ChunkSource;
 
 /// Options controlling join instrumentation.
 #[derive(Debug, Clone)]
@@ -125,15 +125,10 @@ pub struct JoinResult {
     pub stats: CaptureStats,
 }
 
-struct BuildEntry {
-    rids: Vec<Rid>,
-    o_rids: Vec<Rid>,
-}
-
 /// Executes `left ⋈ right ON left_keys = right_keys` with the configured
 /// instrumentation.
 ///
-/// The build and probe phases are keyed by typed key vectors when the join
+/// The build and probe phases are keyed by typed key views when the join
 /// columns allow it — plain `i64` keys, borrowed `&str` keys (no per-probe
 /// `String` clone), or `(i64, i64)` pairs — and fall back to generic
 /// [`HashKey`](crate::key::HashKey)s otherwise. Lineage capture is emitted
@@ -146,82 +141,26 @@ pub fn hash_join(
     right_keys: &[String],
     opts: &JoinOptions,
 ) -> Result<JoinResult> {
-    use smoke_storage::kernels as sk;
-
-    let start = Instant::now();
-    let left_extract = KeyExtractor::new(left, left_keys)?;
-    let right_extract = KeyExtractor::new(right, right_keys)?;
-
-    if let (Some(lk), Some(rk)) = (
-        sk::int_keys(left_extract.columns()),
-        sk::int_keys(right_extract.columns()),
-    ) {
-        return hash_join_keyed(
-            start,
-            left,
-            right,
-            |rid| lk[rid],
-            |rid| rk[rid],
-            |&k| crate::key::HashKey::Int(k),
-            opts,
-        );
-    }
-    if let (Some(lk), Some(rk)) = (
-        sk::str_keys(left_extract.columns()),
-        sk::str_keys(right_extract.columns()),
-    ) {
-        return hash_join_keyed(
-            start,
-            left,
-            right,
-            |rid| lk[rid].as_str(),
-            |rid| rk[rid].as_str(),
-            |k: &&str| crate::key::HashKey::Str((*k).to_string()),
-            opts,
-        );
-    }
-    if let (Some(lk), Some(rk)) = (
-        sk::int_key_pairs(left_extract.columns()),
-        sk::int_key_pairs(right_extract.columns()),
-    ) {
-        return hash_join_keyed(
-            start,
-            left,
-            right,
-            |rid| lk[rid],
-            |rid| rk[rid],
-            |&(a, b)| {
-                crate::key::HashKey::Composite(vec![
-                    crate::key::KeyPart::Int(a),
-                    crate::key::KeyPart::Int(b),
-                ])
-            },
-            opts,
-        );
-    }
-    hash_join_keyed(
-        start,
-        left,
-        right,
-        |rid| left_extract.key(rid),
-        |rid| right_extract.key(rid),
-        |k: &crate::key::HashKey| k.clone(),
-        opts,
-    )
+    hash_join_over(left, right, left_keys, right_keys, opts)
 }
 
-/// The join body, generic over the key representation. `hint_key` renders a
-/// key back as a [`HashKey`](crate::key::HashKey) for cardinality-hint
-/// lookups (called once per distinct build key, never per row).
-fn hash_join_keyed<K: Eq + std::hash::Hash>(
-    start: Instant,
-    left: &Relation,
-    right: &Relation,
-    left_key: impl Fn(usize) -> K,
-    right_key: impl Fn(usize) -> K,
-    hint_key: impl Fn(&K) -> crate::key::HashKey,
+/// The hash-join body over any pair of [`ChunkSource`]s. The build table
+/// (owned keys mapped to per-key build rids) and the lineage indexes
+/// persist across chunks, so the result is the same rid for rid whether
+/// either input is one resident chunk or a stream of paged ones.
+pub(crate) fn hash_join_over(
+    left: &impl ChunkSource,
+    right: &impl ChunkSource,
+    left_keys: &[String],
+    right_keys: &[String],
     opts: &JoinOptions,
 ) -> Result<JoinResult> {
+    let start = Instant::now();
+    // Resolving both key views against zero-row probes checks the key
+    // columns before the scan, and shapes the build table.
+    let mut table = KeyTable::new(&KeyView::new(&left.probe(), left_keys)?, false);
+    KeyView::new(&right.probe(), right_keys)?;
+
     let capture = opts.mode.captures();
     let cap_a_b = capture && opts.left_directions.backward();
     let cap_a_f = capture && opts.left_directions.forward();
@@ -229,21 +168,36 @@ fn hash_join_keyed<K: Eq + std::hash::Hash>(
     let cap_b_f = capture && opts.right_directions.forward();
     let defer_left = capture && opts.mode == CaptureMode::Defer;
     let defer_forward = capture && opts.mode == CaptureMode::DeferForward;
+    let defer = defer_left || defer_forward;
+    let hints = opts.hints.as_ref().filter(|_| cap_a_f && !defer);
 
-    // ⋈ht: build phase over the left relation.
-    let mut ht: HashMap<K, BuildEntry> = HashMap::new();
+    // ⋈ht: build phase over the left input. The table maps every distinct
+    // key to an id; `build[id]` holds the key's left rids. Keeping the
+    // per-key state this small keeps the probe's working set in cache.
+    let mut build: Vec<Vec<Rid>> = Vec::new();
+    let mut hinted: Vec<(usize, usize)> = Vec::new();
     let mut pk_fk = true;
-    for rid in 0..left.len() {
-        let key = left_key(rid);
-        let entry = ht.entry(key).or_insert_with(|| BuildEntry {
-            rids: Vec::with_capacity(1),
-            o_rids: Vec::new(),
-        });
-        entry.rids.push(rid as Rid);
-        if entry.rids.len() > 1 {
-            pk_fk = false;
+    for item in left.chunks() {
+        let (first, chunk) = item?;
+        let chunk: &Relation = &chunk;
+        let keys = KeyView::new(chunk, left_keys)?;
+        for local in 0..chunk.len() {
+            let rid = (first + local) as Rid;
+            if let Some(id) = table.get(&keys, local) {
+                build[id as usize].push(rid);
+                pk_fk = false;
+                continue;
+            }
+            if let Some(cap) = hints.and_then(|h| h.cardinality(&keys.key(local))) {
+                hinted.push((build.len(), cap));
+            }
+            table.insert(&keys, local, build.len() as u32);
+            build.push(vec![rid]);
         }
     }
+    // Defer modes record, per build key, the first output rid of every
+    // probe match.
+    let mut o_rids: Vec<Vec<Rid>> = vec![Vec::new(); if defer { build.len() } else { 0 }];
 
     // When the build side is a primary key the output cardinality is bounded
     // by the probe side cardinality, so backward arrays can be pre-allocated.
@@ -255,15 +209,11 @@ fn hash_join_keyed<K: Eq + std::hash::Hash>(
     // pre-allocation preserves its resize accounting. Defer modes skip this
     // entirely: they build the index in CSR form after the probe, when every
     // per-entry cardinality is known exactly.
-    let mut a_fw: Vec<RidArray> = if cap_a_f && !defer_left && !defer_forward {
+    let mut a_fw: Vec<RidArray> = if cap_a_f && !defer {
         let mut arrays: Vec<RidArray> = vec![RidArray::new(); left.len()];
-        if let Some(hints) = &opts.hints {
-            for (key, entry) in &ht {
-                if let Some(cap) = hints.cardinality(&hint_key(key)) {
-                    for &l in &entry.rids {
-                        arrays[l as usize] = RidArray::with_capacity(cap);
-                    }
-                }
+        for &(id, cap) in &hinted {
+            for &l in &build[id] {
+                arrays[l as usize] = RidArray::with_capacity(cap);
             }
         }
         arrays
@@ -277,67 +227,67 @@ fn hash_join_keyed<K: Eq + std::hash::Hash>(
         RidArray::new()
     };
 
-    // ⋈probe: probe phase over the right relation.
+    // ⋈probe: probe phase over the right input.
     let mut out_counter: usize = 0;
-    for rid in 0..right.len() {
-        let key = right_key(rid);
-        let Some(entry) = ht.get_mut(&key) else {
-            continue;
-        };
-        if defer_left || defer_forward {
-            entry.o_rids.push(out_counter as Rid);
-        }
-        let k = entry.rids.len();
-        for (j, &l) in entry.rids.iter().enumerate() {
-            let o = (out_counter + j) as Rid;
-            if opts.materialize_output || (cap_a_b && !defer_left) {
-                out_left.push(l);
+    for item in right.chunks() {
+        let (first, chunk) = item?;
+        let chunk: &Relation = &chunk;
+        let keys = KeyView::new(chunk, right_keys)?;
+        for local in 0..chunk.len() {
+            let Some(id) = table.get(&keys, local) else {
+                continue;
+            };
+            let rid = first + local;
+            if defer {
+                o_rids[id as usize].push(out_counter as Rid);
             }
-            if opts.materialize_output || cap_b_b {
-                out_right.push(rid as Rid);
-            }
-            if cap_a_f && !defer_left && !defer_forward {
-                a_fw[l as usize].push(o);
-            }
-            if cap_b_f {
-                if pk_fk {
-                    b_fw_array.set(rid, o);
-                } else {
-                    b_fw_index.append(rid, o);
+            let rids = &build[id as usize];
+            for (j, &l) in rids.iter().enumerate() {
+                let o = (out_counter + j) as Rid;
+                if opts.materialize_output || (cap_a_b && !defer_left) {
+                    out_left.push(l);
+                }
+                if opts.materialize_output || cap_b_b {
+                    out_right.push(rid as Rid);
+                }
+                if cap_a_f && !defer {
+                    a_fw[l as usize].push(o);
+                }
+                if cap_b_f {
+                    if pk_fk {
+                        b_fw_array.set(rid, o);
+                    } else {
+                        b_fw_index.append(rid, o);
+                    }
                 }
             }
+            out_counter += rids.len();
         }
-        out_counter += k;
     }
     let base_query = start.elapsed();
 
-    // Deferred construction of the left-side indexes. The forward index is
-    // built directly in CSR form: per-left-rid cardinalities are exact after
-    // the probe, so both flat buffers are allocated once and never resized.
+    // Deferred construction of the left-side indexes. It touches only the
+    // in-RAM build state, never the inputs. The forward index is built
+    // directly in CSR form: per-left-rid cardinalities are exact after the
+    // probe, so both flat buffers are allocated once and never resized.
     let defer_start = Instant::now();
     let mut a_bw_deferred: Option<RidArray> = None;
     let mut a_fw_deferred: Option<CsrRidIndex> = None;
-    if defer_left || defer_forward {
+    if defer {
         if defer_left && cap_a_b {
             a_bw_deferred = Some(RidArray::filled(out_counter));
         }
         if cap_a_f {
             let mut counts = vec![0usize; left.len()];
-            for entry in ht.values() {
-                if entry.o_rids.is_empty() {
-                    continue;
-                }
-                for &l in &entry.rids {
-                    counts[l as usize] = entry.o_rids.len();
+            for (rids, starts) in build.iter().zip(&o_rids) {
+                for &l in rids {
+                    counts[l as usize] = starts.len();
                 }
             }
             let mut builder = CsrBuilder::with_counts(counts);
-            for entry in ht.values() {
-                if entry.o_rids.is_empty() {
-                    continue;
-                }
-                for (j, &l) in entry.rids.iter().enumerate() {
-                    for &start_o in &entry.o_rids {
+            for (rids, starts) in build.iter().zip(&o_rids) {
+                for (j, &l) in rids.iter().enumerate() {
+                    for &start_o in starts {
                         let o = start_o + j as Rid;
                         builder.append(l as usize, o);
                         if let Some(bw) = a_bw_deferred.as_mut() {
@@ -347,20 +297,17 @@ fn hash_join_keyed<K: Eq + std::hash::Hash>(
                 }
             }
             a_fw_deferred = Some(builder.finish());
-        } else if defer_left && cap_a_b {
-            for entry in ht.values() {
-                for (j, &l) in entry.rids.iter().enumerate() {
-                    for &start_o in &entry.o_rids {
-                        a_bw_deferred
-                            .as_mut()
-                            .expect("allocated above")
-                            .set((start_o + j as Rid) as usize, l);
+        } else if let Some(bw) = a_bw_deferred.as_mut() {
+            for (rids, starts) in build.iter().zip(&o_rids) {
+                for (j, &l) in rids.iter().enumerate() {
+                    for &start_o in starts {
+                        bw.set((start_o + j as Rid) as usize, l);
                     }
                 }
             }
         }
     }
-    let deferred = if defer_left || defer_forward {
+    let deferred = if defer {
         defer_start.elapsed()
     } else {
         std::time::Duration::ZERO
@@ -370,13 +317,8 @@ fn hash_join_keyed<K: Eq + std::hash::Hash>(
     let joined_schema: Schema = left.schema().concat(right.schema(), right.name());
     let output_name = format!("join({},{})", left.name(), right.name());
     let output = if opts.materialize_output {
-        let mut columns = Vec::with_capacity(joined_schema.arity());
-        for col in left.columns() {
-            columns.push(col.gather(&out_left));
-        }
-        for col in right.columns() {
-            columns.push(col.gather(&out_right));
-        }
+        let mut columns = left.gather(&out_left, "l".into())?.into_columns();
+        columns.append(&mut right.gather(&out_right, "r".into())?.into_columns());
         Relation::from_columns(output_name, joined_schema, columns)?
     } else {
         Relation::empty(output_name, joined_schema)

@@ -11,6 +11,7 @@ pub mod nljoin;
 pub mod project;
 pub mod select;
 pub mod setops;
+pub(crate) mod source;
 
 use smoke_lineage::{CaptureStats, OperatorLineage};
 use smoke_storage::Relation;

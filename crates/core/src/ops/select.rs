@@ -27,6 +27,7 @@ use crate::error::Result;
 use crate::expr::Expr;
 use crate::instrument::DirectionFilter;
 use crate::kernels::KernelPlan;
+use crate::ops::source::ChunkSource;
 use crate::ops::OpOutput;
 
 /// Options controlling selection instrumentation.
@@ -93,17 +94,30 @@ impl SelectOptions {
 /// Executes `SELECT * FROM input WHERE predicate` with optional lineage
 /// capture.
 pub fn select(input: &Relation, predicate: &Expr, opts: &SelectOptions) -> Result<OpOutput> {
+    select_over(input, predicate, opts)
+}
+
+/// The selection body over any [`ChunkSource`]: every chunk is filtered in
+/// input order, so the matching rids of all chunks concatenate into the
+/// resident operator's rid list.
+pub(crate) fn select_over(
+    input: &impl ChunkSource,
+    predicate: &Expr,
+    opts: &SelectOptions,
+) -> Result<OpOutput> {
     let start = Instant::now();
     let n = input.len();
 
     let capture_backward = opts.capture && opts.directions.backward();
     let capture_forward = opts.capture && opts.directions.forward();
 
-    let kernel = if opts.use_kernels {
-        KernelPlan::compile(predicate, input)
-    } else {
-        None
-    };
+    // Whether the predicate compiles to kernels depends on the schema only.
+    // The interpreter binds it, so bind errors surface before the scan.
+    let probe = input.probe();
+    let kernels = opts.use_kernels && KernelPlan::compile(predicate, &probe).is_some();
+    if !kernels {
+        predicate.bind(&probe)?;
+    }
 
     // Matching rids are needed to materialize the output regardless of
     // capture; the *backward index* is exactly this array, so Smoke reuses it
@@ -113,46 +127,53 @@ pub fn select(input: &Relation, predicate: &Expr, opts: &SelectOptions) -> Resul
     } else {
         RidArray::new()
     };
-
-    let matching: Vec<Rid> = if let Some(plan) = &kernel {
-        // Kernel path: evaluate the pipeline into a bitmap, then emit both
-        // lineage directions in one fused pass over it. The popcount gives
-        // the exact output cardinality, so nothing ever resizes.
-        let mask = plan.eval(input);
-        let mut matching: Vec<Rid> = Vec::with_capacity(mask.count_ones());
-        let mut ctr_o: Rid = 0;
-        mask.for_each_one(|rid| {
-            matching.push(rid as Rid);
-            if capture_forward {
-                forward.set(rid, ctr_o);
-            }
-            ctr_o += 1;
-        });
-        matching
-    } else {
-        // Interpreter fallback. The matching array is pre-sized from the
-        // selectivity estimate when one is given, and from the input
-        // cardinality otherwise — in *every* mode, so the uninstrumented
-        // baseline never pays resize costs the instrumented run avoids.
-        let bound = predicate.bind(input)?;
-        let mut matching: Vec<Rid> = match opts.selectivity_estimate {
-            Some(s) => Vec::with_capacity(((n as f64) * s.clamp(0.0, 1.0)) as usize),
-            None => Vec::with_capacity(n),
+    // The kernel path sizes the rid list exactly from each chunk's bitmap
+    // popcount (which subsumes the `Smoke-I+EC` estimate). The interpreter
+    // pre-sizes it from the selectivity estimate when one is given, and from
+    // the input cardinality otherwise — in *every* mode, so the
+    // uninstrumented baseline never pays resize costs the instrumented run
+    // avoids.
+    let mut matching: Vec<Rid> = match (kernels, opts.selectivity_estimate) {
+        (true, _) => Vec::new(),
+        (false, Some(s)) => Vec::with_capacity(((n as f64) * s.clamp(0.0, 1.0)) as usize),
+        (false, None) => Vec::with_capacity(n),
+    };
+    let mut ctr_o: Rid = 0;
+    for item in input.chunks() {
+        let (first, chunk) = item?;
+        let chunk: &Relation = &chunk;
+        let plan = if kernels {
+            KernelPlan::compile(predicate, chunk)
+        } else {
+            None
         };
-        let mut ctr_o: Rid = 0;
-        for rid in 0..n {
-            if bound.eval_bool(input, rid)? {
-                matching.push(rid as Rid);
+        if let Some(plan) = plan {
+            // Kernel path: evaluate the pipeline into a bitmap, then emit
+            // both lineage directions in one fused pass over it.
+            let mask = plan.eval(chunk);
+            matching.reserve_exact(mask.count_ones());
+            mask.for_each_one(|local| {
+                matching.push((first + local) as Rid);
                 if capture_forward {
-                    forward.set(rid, ctr_o);
+                    forward.set(first + local, ctr_o);
                 }
                 ctr_o += 1;
+            });
+        } else {
+            let bound = predicate.bind(chunk)?;
+            for local in 0..chunk.len() {
+                if bound.eval_bool(chunk, local)? {
+                    matching.push((first + local) as Rid);
+                    if capture_forward {
+                        forward.set(first + local, ctr_o);
+                    }
+                    ctr_o += 1;
+                }
             }
         }
-        matching
-    };
+    }
 
-    let output = input.gather(&matching, format!("select({})", input.name()));
+    let output = input.gather(&matching, format!("select({})", input.name()))?;
     let elapsed = start.elapsed();
 
     let mut stats = CaptureStats {

@@ -40,8 +40,7 @@ use crate::error::Result;
 use crate::instrument::CaptureMode;
 use crate::key::{HashKey, KeyExtractor};
 use crate::ops::join::{JoinOptions, JoinResult};
-
-use super::{align_chunk, chunk_bounds};
+use crate::ops::source::ChunkSource;
 
 /// Rough per-row footprint of the resident build hash table (key, rid vec,
 /// bucket overhead). Deliberately coarse: it only decides *when* to switch
@@ -115,16 +114,6 @@ fn raw8(col: &Column, local: usize) -> [u8; 8] {
     }
 }
 
-/// A transient single-chunk relation holding just the key columns, so
-/// [`KeyExtractor`] sees the same names and types it would on a full chunk.
-fn key_chunk(name: &str, fields: &[Field], columns: Vec<Column>) -> Result<Relation> {
-    Ok(Relation::from_columns(
-        name.to_string(),
-        Schema::new(fields.to_vec())?,
-        columns,
-    )?)
-}
-
 /// One side of the join, hash-partitioned into spilled page runs.
 struct PartitionedSide {
     /// One relation per partition: the key columns plus `__grace_rid`.
@@ -148,33 +137,17 @@ fn partition_side(
     side: &str,
     keep_maps: bool,
 ) -> Result<PartitionedSide> {
-    let key_idx: Vec<usize> = keys
-        .iter()
-        .map(|k| {
-            rel.schema()
-                .index_of(k)
-                .ok_or_else(|| StorageError::UnknownColumn {
-                    relation: rel.name().to_string(),
-                    column: k.clone(),
-                })
-        })
-        .collect::<std::result::Result<_, _>>()?;
-    let key_fields: Vec<Field> = key_idx
-        .iter()
-        .map(|&i| rel.schema().field(i).clone())
-        .collect();
+    // Both passes scan the key columns only.
+    let key_cols = rel.project(keys)?;
+    let source = (&key_cols, chunk_rows);
 
     // Pass 1: per-partition row counts.
     let mut hist = vec![0usize; partitions];
-    for (cs, ce) in chunk_bounds(rel.len(), chunk_rows) {
-        rel.prefetch_rows(ce, ce + chunk_rows);
-        let cols: Vec<Column> = key_idx
-            .iter()
-            .map(|&c| rel.decode_range(c, cs, ce))
-            .collect::<std::result::Result<_, _>>()?;
-        let mini = key_chunk(rel.name(), &key_fields, cols)?;
-        let extractor = KeyExtractor::new(&mini, keys)?;
-        for local in 0..mini.len() {
+    for item in source.chunks() {
+        let (_, chunk) = item?;
+        let chunk: &Relation = &chunk;
+        let extractor = KeyExtractor::new(chunk, keys)?;
+        for local in 0..chunk.len() {
             hist[partition_of(&extractor.key(local), partitions)] += 1;
         }
     }
@@ -185,7 +158,7 @@ fn partition_side(
     let mut writers: Vec<Vec<FixedRunWriter>> = hist
         .iter()
         .map(|&rows| {
-            (0..=key_idx.len())
+            (0..=keys.len())
                 .map(|_| FixedRunWriter::new(pool, rows))
                 .collect()
         })
@@ -195,29 +168,25 @@ fn partition_side(
     } else {
         Vec::new()
     };
-    for (cs, ce) in chunk_bounds(rel.len(), chunk_rows) {
-        rel.prefetch_rows(ce, ce + chunk_rows);
-        let cols: Vec<Column> = key_idx
-            .iter()
-            .map(|&c| rel.decode_range(c, cs, ce))
-            .collect::<std::result::Result<_, _>>()?;
-        let mini = key_chunk(rel.name(), &key_fields, cols)?;
-        let extractor = KeyExtractor::new(&mini, keys)?;
-        for local in 0..mini.len() {
+    for item in source.chunks() {
+        let (first, chunk) = item?;
+        let chunk: &Relation = &chunk;
+        let extractor = KeyExtractor::new(chunk, keys)?;
+        for local in 0..chunk.len() {
             let p = partition_of(&extractor.key(local), partitions);
             let runs = &mut writers[p];
-            for (ci, col) in mini.columns().iter().enumerate() {
+            for (ci, col) in chunk.columns().iter().enumerate() {
                 runs[ci].push(raw8(col, local))?;
             }
-            let rid = (cs + local) as u64;
-            runs[key_idx.len()].push(rid.to_le_bytes())?;
+            let rid = (first + local) as u64;
+            runs[keys.len()].push(rid.to_le_bytes())?;
             if keep_maps {
-                rid_maps[p].push((cs + local) as u32);
+                rid_maps[p].push((first + local) as u32);
             }
         }
     }
 
-    let mut fields = key_fields;
+    let mut fields = key_cols.schema().fields().to_vec();
     fields.push(Field::new(GRACE_RID_COL, DataType::Int));
     let mut parts = Vec::with_capacity(partitions);
     for (p, runs) in writers.into_iter().enumerate() {
@@ -260,7 +229,6 @@ pub fn paged_grace_hash_join(
     partitions: usize,
 ) -> Result<JoinResult> {
     let start = Instant::now();
-    let chunk_rows = align_chunk(chunk_rows);
     let partitions = partitions.max(2);
 
     let capture = opts.mode.captures();
@@ -286,10 +254,10 @@ pub fn paged_grace_hash_join(
     for p in 0..partitions {
         let part = &build.parts[p];
         let mut ht: HashMap<HashKey, Vec<Rid>> = HashMap::new();
-        for (cs, ce) in chunk_bounds(part.len(), chunk_rows) {
-            part.prefetch_rows(ce, ce + chunk_rows);
-            let chunk = part.chunk(cs, ce)?;
-            let extractor = KeyExtractor::new(&chunk, left_keys)?;
+        for item in (part, chunk_rows).chunks() {
+            let (_, chunk) = item?;
+            let chunk: &Relation = &chunk;
+            let extractor = KeyExtractor::new(chunk, left_keys)?;
             let rids = chunk.columns().last().map(|c| c.as_int()).unwrap_or(&[]);
             for (local, &rid) in rids.iter().enumerate().take(chunk.len()) {
                 let entry = ht.entry(extractor.key(local)).or_default();
@@ -299,12 +267,11 @@ pub fn paged_grace_hash_join(
                 }
             }
         }
-        let part = &probe.parts[p];
         let mut part_pairs: Vec<(Rid, Rid)> = Vec::new();
-        for (cs, ce) in chunk_bounds(part.len(), chunk_rows) {
-            part.prefetch_rows(ce, ce + chunk_rows);
-            let chunk = part.chunk(cs, ce)?;
-            let extractor = KeyExtractor::new(&chunk, right_keys)?;
+        for item in (&probe.parts[p], chunk_rows).chunks() {
+            let (_, chunk) = item?;
+            let chunk: &Relation = &chunk;
+            let extractor = KeyExtractor::new(chunk, right_keys)?;
             let rids = chunk.columns().last().map(|c| c.as_int()).unwrap_or(&[]);
             for (local, &rid) in rids.iter().enumerate().take(chunk.len()) {
                 if let Some(matched) = ht.get(&extractor.key(local)) {
@@ -389,9 +356,8 @@ pub fn paged_grace_hash_join(
     let joined_schema: Schema = left.schema().concat(right.schema(), right.name());
     let output_name = format!("join({},{})", left.name(), right.name());
     let output = if opts.materialize_output {
-        let mut columns = Vec::with_capacity(joined_schema.arity());
-        columns.extend(left.gather(&out_left, "l")?.columns().iter().cloned());
-        columns.extend(right.gather(&out_right, "r")?.columns().iter().cloned());
+        let mut columns = left.gather(&out_left, "l")?.into_columns();
+        columns.append(&mut right.gather(&out_right, "r")?.into_columns());
         Relation::from_columns(output_name, joined_schema, columns)?
     } else {
         Relation::empty(output_name, joined_schema)

@@ -1,168 +1,56 @@
 //! Out-of-core operator execution over [`PagedRelation`]s.
 //!
-//! These are the paged twins of the in-RAM operators in [`crate::ops`]: the
-//! input relation lives in a buffer-pool-backed segment store, and the
-//! operator streams page-aligned **chunks** ([`PagedRelation::chunk`])
-//! through the same per-row algorithms the in-RAM operators use. Only the
-//! scan is chunked — hash tables, aggregation state, and lineage indexes
-//! stay in RAM (they are the operator's working set; the paper's capture
-//! paradigms assume as much) — so every operator here is **rid-for-rid
-//! equivalent** to its in-RAM twin: same output rows in the same order, same
-//! lineage indexes, for any pool budget down to a single page.
+//! One body per operator; residency is the chunk source. The entry points
+//! here run the same select, group-by and hash-join bodies as
+//! [`crate::ops`], over a `(&PagedRelation, chunk_rows)` source: the input
+//! lives in a buffer-pool-backed segment store and is scanned in
+//! page-aligned chunks, with the next chunk's pages hinted to the
+//! prefetcher. Only the scan is chunked — key tables, aggregation state and
+//! lineage indexes stay in RAM (they are the operator's working set; the
+//! paper's capture paradigms assume as much) — so every operator here gives
+//! the resident operator's output rows and lineage indexes, rid for rid,
+//! for any pool budget down to a single page.
 //!
 //! Lineage capture stays fused with the chunk scan exactly as §3.2
 //! prescribes: Inject populates indexes while pages are pinned for the base
 //! query, and Defer replays the chunk scan (re-pinning pages — the realistic
-//! out-of-core cost of deferral) against the pinned hash table.
+//! out-of-core cost of deferral) against the pinned key table.
 //!
-//! Chunk sizes are rounded up to a whole number of pages so that no page is
-//! pinned twice for one scan; [`smoke_storage::DEFAULT_CHUNK_ROWS`] (64
-//! pages per column)
-//! amortizes per-chunk setup while keeping the transient chunk small.
+//! [`smoke_storage::DEFAULT_CHUNK_ROWS`] (64 pages per column) amortizes
+//! per-chunk setup while keeping the transient chunk small.
 
 mod grace;
 
 pub use grace::{paged_grace_hash_join, BUILD_BYTES_PER_ROW, MAX_GRACE_PARTITIONS};
 
-use std::collections::HashMap;
-use std::time::Instant;
+use smoke_storage::PagedRelation;
 
-use smoke_lineage::{
-    CaptureStats, CsrBuilder, CsrRidIndex, InputLineage, LineageIndex, OperatorLineage,
-    PartitionedRidIndex, RidArray, RidIndex,
-};
-use smoke_storage::{Column, PagedRelation, Relation, Rid, Schema, ROWS_PER_PAGE};
-
-use crate::agg::{AggExpr, AggFunc, AggState};
+use crate::agg::AggExpr;
 use crate::error::Result;
 use crate::expr::Expr;
-use crate::instrument::CaptureMode;
-use crate::kernels::{predicate_mask, KernelPlan};
-use crate::key::{HashKey, KeyExtractor};
-use crate::ops::groupby::{render_partition_key, AggInputs, GroupByOptions, GroupByResult};
-use crate::ops::join::{JoinOptions, JoinResult};
-use crate::ops::select::SelectOptions;
+use crate::ops::groupby::{group_by_over, GroupByOptions, GroupByResult};
+use crate::ops::join::{hash_join_over, JoinOptions, JoinResult};
+use crate::ops::select::{select_over, SelectOptions};
 use crate::ops::OpOutput;
-use crate::workload::{LineageCube, WorkloadArtifacts};
-
-/// Rounds a requested chunk size up to a whole number of pages (at least
-/// one), so a chunk scan pins every covering page exactly once.
-fn align_chunk(chunk_rows: usize) -> usize {
-    chunk_rows.max(1).div_ceil(ROWS_PER_PAGE) * ROWS_PER_PAGE
-}
-
-/// Page-aligned `[start, end)` chunk bounds covering `len` rows.
-fn chunk_bounds(len: usize, chunk_rows: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..len)
-        .step_by(chunk_rows.max(1))
-        .map(move |s| (s, (s + chunk_rows).min(len)))
-}
 
 /// Executes `SELECT * FROM input WHERE predicate` over a paged relation,
-/// streaming page-aligned chunks. Rid-for-rid equivalent to
-/// [`crate::ops::select::select`] on the materialized relation.
+/// streaming page-aligned chunks of at least `chunk_rows` rows. Rid-for-rid
+/// equivalent to [`crate::ops::select::select`] on the materialized
+/// relation.
 pub fn paged_select(
     input: &PagedRelation,
     predicate: &Expr,
     opts: &SelectOptions,
     chunk_rows: usize,
 ) -> Result<OpOutput> {
-    let start = Instant::now();
-    let n = input.len();
-    let chunk_rows = align_chunk(chunk_rows);
-
-    let capture_backward = opts.capture && opts.directions.backward();
-    let capture_forward = opts.capture && opts.directions.forward();
-
-    // Surface bind errors before any page I/O, exactly like the in-RAM
-    // operator surfaces them before its scan.
-    predicate.bind(&input.chunk(0, 0)?)?;
-
-    let mut forward = if capture_forward {
-        RidArray::filled(n)
-    } else {
-        RidArray::new()
-    };
-    let mut matching: Vec<Rid> = match opts.selectivity_estimate {
-        Some(s) => Vec::with_capacity(((n as f64) * s.clamp(0.0, 1.0)) as usize),
-        None => Vec::new(),
-    };
-
-    let mut ctr_o: Rid = 0;
-    for (cs, ce) in chunk_bounds(n, chunk_rows) {
-        input.prefetch_rows(ce, ce + chunk_rows);
-        let chunk = input.chunk(cs, ce)?;
-        let kernel = if opts.use_kernels {
-            KernelPlan::compile(predicate, &chunk)
-        } else {
-            None
-        };
-        if let Some(plan) = kernel {
-            let mask = plan.eval(&chunk);
-            mask.for_each_one(|local| {
-                matching.push((cs + local) as Rid);
-                if capture_forward {
-                    forward.set(cs + local, ctr_o);
-                }
-                ctr_o += 1;
-            });
-        } else {
-            let bound = predicate.bind(&chunk)?;
-            for local in 0..chunk.len() {
-                if bound.eval_bool(&chunk, local)? {
-                    matching.push((cs + local) as Rid);
-                    if capture_forward {
-                        forward.set(cs + local, ctr_o);
-                    }
-                    ctr_o += 1;
-                }
-            }
-        }
-    }
-
-    let output = input.gather(&matching, format!("select({})", input.name()))?;
-    let elapsed = start.elapsed();
-
-    let mut stats = CaptureStats {
-        base_query: elapsed,
-        ..Default::default()
-    };
-    if !opts.capture {
-        return Ok(OpOutput::baseline(output, stats));
-    }
-
-    let backward_index = LineageIndex::Array(RidArray::from_vec(matching));
-    stats.edges = output.len() as u64;
-    stats.lineage_bytes = (backward_index.heap_bytes()
-        + if capture_forward {
-            forward.heap_bytes()
-        } else {
-            0
-        }) as u64;
-
-    let lineage = InputLineage {
-        backward: capture_backward.then_some(backward_index),
-        forward: capture_forward.then_some(LineageIndex::Array(forward)),
-    };
-    Ok(OpOutput {
-        output,
-        lineage: OperatorLineage::unary(lineage),
-        stats,
-    })
-}
-
-struct PagedGroupEntry {
-    key_values: Vec<smoke_storage::Value>,
-    states: Vec<AggState>,
-    i_rids: RidArray,
-    lineage_count: u32,
+    select_over(&(input, chunk_rows), predicate, opts)
 }
 
 /// Executes `SELECT keys, aggs FROM input GROUP BY keys` over a paged
-/// relation. Hash table, aggregation state, and lineage indexes stay in RAM;
-/// the input is streamed chunk-at-a-time. Rid-for-rid equivalent to
-/// [`crate::ops::groupby::group_by`], including the workload-aware artifacts
-/// (selection push-down, data-skipping partitions, group-by push-down cube).
+/// relation, streaming page-aligned chunks of at least `chunk_rows` rows.
+/// Rid-for-rid equivalent to [`crate::ops::groupby::group_by`], including
+/// the workload-aware artifacts (selection push-down, data-skipping
+/// partitions, group-by push-down cube).
 pub fn paged_group_by(
     input: &PagedRelation,
     keys: &[String],
@@ -170,300 +58,11 @@ pub fn paged_group_by(
     opts: &GroupByOptions,
     chunk_rows: usize,
 ) -> Result<GroupByResult> {
-    let start = Instant::now();
-    let n = input.len();
-    let chunk_rows = align_chunk(chunk_rows);
-
-    let capture = opts.mode.captures();
-    let capture_b = capture && opts.directions.backward();
-    let capture_f = capture && opts.directions.forward();
-    let inject = matches!(opts.mode, CaptureMode::Inject | CaptureMode::DeferForward);
-    let wl = &opts.workload;
-
-    // Validate every referenced column against a zero-row chunk so schema
-    // errors surface before any page I/O.
-    {
-        let probe = input.chunk(0, 0)?;
-        KeyExtractor::new(&probe, keys)?;
-        AggInputs::resolve(&probe, aggs)?;
-        if let Some(expr) = &wl.selection_pushdown {
-            expr.bind(&probe)?;
-        }
-        if !wl.skipping_partition_by.is_empty() {
-            KeyExtractor::new(&probe, &wl.skipping_partition_by)?;
-        }
-        if let Some(pd) = &wl.agg_pushdown {
-            KeyExtractor::new(&probe, &pd.partition_by)?;
-            AggInputs::resolve(&probe, &pd.aggs)?;
-        }
-    }
-
-    // γht over streamed chunks. The key mode is the generic `HashKey` path:
-    // chunk-local typed key vectors die with their chunk, and `HashKey`
-    // equality coincides with typed equality, so gid assignment (first
-    // occurrence order) is identical to the in-RAM operator's.
-    let mut ht: HashMap<HashKey, u32> = HashMap::new();
-    let mut groups: Vec<PagedGroupEntry> = Vec::new();
-    let mut forward = if capture_f && inject {
-        RidArray::filled(n)
-    } else {
-        RidArray::new()
-    };
-    let mut partitioned = (capture && !wl.skipping_partition_by.is_empty())
-        .then(|| PartitionedRidIndex::new(wl.skipping_partition_by.join(",")));
-    let mut cube = match (&wl.agg_pushdown, capture) {
-        (Some(pd), true) => Some(LineageCube::new(
-            0,
-            pd.partition_by.clone(),
-            pd.aggs.clone(),
-        )),
-        _ => None,
-    };
-
-    for (cs, ce) in chunk_bounds(n, chunk_rows) {
-        input.prefetch_rows(ce, ce + chunk_rows);
-        let chunk = input.chunk(cs, ce)?;
-        let extractor = KeyExtractor::new(&chunk, keys)?;
-        let agg_inputs = AggInputs::resolve(&chunk, aggs)?;
-        let pushdown_mask = match &wl.selection_pushdown {
-            Some(expr) if capture => Some(predicate_mask(&chunk, expr)?),
-            _ => None,
-        };
-        let skip_extractor = match (capture, wl.skipping_partition_by.is_empty()) {
-            (true, false) => Some(KeyExtractor::new(&chunk, &wl.skipping_partition_by)?),
-            _ => None,
-        };
-        let cube_setup = match (&wl.agg_pushdown, capture) {
-            (Some(pd), true) => Some((
-                pd,
-                KeyExtractor::new(&chunk, &pd.partition_by)?,
-                AggInputs::resolve(&chunk, &pd.aggs)?,
-            )),
-            _ => None,
-        };
-
-        for local in 0..chunk.len() {
-            let rid = cs + local;
-            let key = extractor.key(local);
-            let gid = match ht.get(&key) {
-                Some(&gid) => gid,
-                None => {
-                    let gid = groups.len() as u32;
-                    let hinted_cap = opts.hints.as_ref().and_then(|h| h.cardinality(&key));
-                    let i_rids = match hinted_cap {
-                        Some(cap) if capture_b && inject => RidArray::with_capacity(cap),
-                        _ => RidArray::new(),
-                    };
-                    groups.push(PagedGroupEntry {
-                        key_values: key.to_values(),
-                        states: aggs.iter().map(AggExpr::new_state).collect(),
-                        i_rids,
-                        lineage_count: 0,
-                    });
-                    ht.insert(key, gid);
-                    gid
-                }
-            };
-            let entry = &mut groups[gid as usize];
-            agg_inputs.update(&mut entry.states, aggs, local);
-
-            if capture {
-                let include = pushdown_mask.as_ref().is_none_or(|m| m.get(local));
-                if include {
-                    entry.lineage_count += 1;
-                    if capture_b && inject {
-                        entry.i_rids.push(rid as Rid);
-                    }
-                    if capture_f && inject {
-                        forward.set(rid, gid);
-                    }
-                    if let (Some(part), Some(skip)) =
-                        (partitioned.as_mut(), skip_extractor.as_ref())
-                    {
-                        let pkey = skip.key(local);
-                        part.append(gid as usize, &render_partition_key(&pkey), rid as Rid);
-                    }
-                    if let (Some(cube), Some((pd, ex, cols))) = (cube.as_mut(), cube_setup.as_ref())
-                    {
-                        let pkey = ex.key(local);
-                        let key_values = pkey.to_values();
-                        let mut inputs = Vec::with_capacity(pd.aggs.len());
-                        let mut distinct = Vec::with_capacity(pd.aggs.len());
-                        for (i, agg) in pd.aggs.iter().enumerate() {
-                            match (&agg.func, cols.columns[i]) {
-                                (AggFunc::CountDistinct, Some(col)) => {
-                                    inputs.push(0.0);
-                                    distinct.push(Some(col.value(local).group_key()));
-                                }
-                                (_, Some(col)) => {
-                                    inputs.push(col.numeric(local).unwrap_or(0.0));
-                                    distinct.push(None);
-                                }
-                                (_, None) => {
-                                    inputs.push(0.0);
-                                    distinct.push(None);
-                                }
-                            }
-                        }
-                        cube.update(
-                            gid as usize,
-                            &render_partition_key(&pkey),
-                            &key_values,
-                            &inputs,
-                            &distinct,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // γagg: emit output records exactly as the in-RAM operator does.
-    let mut key_cols: Vec<Column> = keys
-        .iter()
-        .map(|name| {
-            let idx = input.schema().index_of(name).unwrap_or_default(); // validated by the probe extractor above
-            Column::with_capacity(input.schema().field(idx).data_type, groups.len())
-        })
-        .collect();
-    let mut agg_cols: Vec<Column> = aggs
-        .iter()
-        .map(|a| Column::with_capacity(a.output_type(), groups.len()))
-        .collect();
-    let mut backward = RidIndex::with_len(0);
-    for entry in groups.iter_mut() {
-        for (i, col) in key_cols.iter_mut().enumerate() {
-            col.push(entry.key_values[i].clone())?;
-        }
-        for (i, col) in agg_cols.iter_mut().enumerate() {
-            col.push(entry.states[i].finalize())?;
-        }
-        if capture_b && inject {
-            backward.push_entry(std::mem::take(&mut entry.i_rids));
-        }
-    }
-
-    let mut fields = Vec::with_capacity(keys.len() + aggs.len());
-    for name in keys {
-        let idx = input.schema().index_of(name).unwrap_or_default();
-        fields.push(smoke_storage::Field::new(
-            name.clone(),
-            input.schema().field(idx).data_type,
-        ));
-    }
-    for agg in aggs {
-        fields.push(smoke_storage::Field::new(
-            agg.alias.clone(),
-            agg.output_type(),
-        ));
-    }
-    let schema = Schema::new(fields)?;
-    let mut columns = key_cols;
-    columns.append(&mut agg_cols);
-    let output = Relation::from_columns(format!("groupby({})", input.name()), schema, columns)?;
-    let base_query = start.elapsed();
-
-    if !capture {
-        return Ok(GroupByResult {
-            output,
-            lineage: OperatorLineage::none(),
-            artifacts: WorkloadArtifacts::default(),
-            stats: CaptureStats {
-                base_query,
-                ..Default::default()
-            },
-        });
-    }
-
-    // Defer pass: replay the chunk scan against the pinned hash table. Out
-    // of core this re-pins every data page — the realistic I/O cost the
-    // paged benchmarks measure for deferral.
-    let defer_start = Instant::now();
-    let mut deferred_backward: Option<CsrBuilder> = None;
-    if !inject {
-        if capture_b {
-            deferred_backward = Some(CsrBuilder::with_counts(
-                groups.iter().map(|g| g.lineage_count as usize),
-            ));
-        }
-        if capture_f {
-            forward = RidArray::filled(n);
-        }
-        for (cs, ce) in chunk_bounds(n, chunk_rows) {
-            input.prefetch_rows(ce, ce + chunk_rows);
-            let chunk = input.chunk(cs, ce)?;
-            let extractor = KeyExtractor::new(&chunk, keys)?;
-            let pushdown_mask = match &wl.selection_pushdown {
-                Some(expr) => Some(predicate_mask(&chunk, expr)?),
-                None => None,
-            };
-            for local in 0..chunk.len() {
-                let include = pushdown_mask.as_ref().is_none_or(|m| m.get(local));
-                if !include {
-                    continue;
-                }
-                let key = extractor.key(local);
-                let Some(&gid) = ht.get(&key) else {
-                    continue; // unreachable: the build pass saw every key
-                };
-                if let Some(b) = deferred_backward.as_mut() {
-                    b.append(gid as usize, (cs + local) as Rid);
-                }
-                if capture_f {
-                    forward.set(cs + local, gid);
-                }
-            }
-        }
-    }
-    let deferred = if inject {
-        std::time::Duration::ZERO
-    } else {
-        defer_start.elapsed()
-    };
-
-    let backward_index = if capture_b {
-        Some(match deferred_backward {
-            Some(b) => LineageIndex::Csr(b.finish()),
-            None => LineageIndex::Index(backward),
-        })
-    } else {
-        None
-    };
-    let forward_index = capture_f.then_some(LineageIndex::Array(forward));
-
-    let mut stats = CaptureStats {
-        base_query,
-        deferred,
-        ..Default::default()
-    };
-    if let Some(b) = &backward_index {
-        stats.edges += b.edge_count() as u64;
-        stats.rid_resizes += b.resizes();
-        stats.lineage_bytes += b.heap_bytes() as u64;
-    }
-    if let Some(f) = &forward_index {
-        stats.rid_resizes += f.resizes();
-        stats.lineage_bytes += f.heap_bytes() as u64;
-    }
-
-    Ok(GroupByResult {
-        output,
-        lineage: OperatorLineage::unary(InputLineage {
-            backward: backward_index,
-            forward: forward_index,
-        }),
-        artifacts: WorkloadArtifacts { partitioned, cube },
-        stats,
-    })
-}
-
-struct PagedBuildEntry {
-    rids: Vec<Rid>,
-    o_rids: Vec<Rid>,
+    group_by_over(&(input, chunk_rows), keys, aggs, opts)
 }
 
 /// Executes `left ⋈ right ON left_keys = right_keys` over two paged
-/// relations: the build phase streams left chunks into an in-RAM hash table,
+/// relations: the build phase streams left chunks into an in-RAM key table,
 /// the probe phase streams right chunks against it. Rid-for-rid equivalent
 /// to [`crate::ops::join::hash_join`] on the materialized relations, for
 /// every capture mode.
@@ -486,244 +85,13 @@ pub fn paged_hash_join(
             left, right, left_keys, right_keys, opts, chunk_rows, partitions,
         );
     }
-    let start = Instant::now();
-    let chunk_rows = align_chunk(chunk_rows);
-
-    let capture = opts.mode.captures();
-    let cap_a_b = capture && opts.left_directions.backward();
-    let cap_a_f = capture && opts.left_directions.forward();
-    let cap_b_b = capture && opts.right_directions.backward();
-    let cap_b_f = capture && opts.right_directions.forward();
-    let defer_left = capture && opts.mode == CaptureMode::Defer;
-    let defer_forward = capture && opts.mode == CaptureMode::DeferForward;
-
-    KeyExtractor::new(&left.chunk(0, 0)?, left_keys)?;
-    KeyExtractor::new(&right.chunk(0, 0)?, right_keys)?;
-
-    // ⋈ht: build phase over streamed left chunks.
-    let mut ht: HashMap<HashKey, PagedBuildEntry> = HashMap::new();
-    let mut pk_fk = true;
-    for (cs, ce) in chunk_bounds(left.len(), chunk_rows) {
-        left.prefetch_rows(ce, ce + chunk_rows);
-        let chunk = left.chunk(cs, ce)?;
-        let extractor = KeyExtractor::new(&chunk, left_keys)?;
-        for local in 0..chunk.len() {
-            let key = extractor.key(local);
-            let entry = ht.entry(key).or_insert_with(|| PagedBuildEntry {
-                rids: Vec::with_capacity(1),
-                o_rids: Vec::new(),
-            });
-            entry.rids.push((cs + local) as Rid);
-            if entry.rids.len() > 1 {
-                pk_fk = false;
-            }
-        }
-    }
-
-    let prealloc = if pk_fk { right.len() } else { 0 };
-    let mut out_left: Vec<Rid> = Vec::with_capacity(prealloc);
-    let mut out_right: Vec<Rid> = Vec::with_capacity(prealloc);
-
-    let mut a_fw: Vec<RidArray> = if cap_a_f && !defer_left && !defer_forward {
-        let mut arrays: Vec<RidArray> = vec![RidArray::new(); left.len()];
-        if let Some(hints) = &opts.hints {
-            for (key, entry) in &ht {
-                if let Some(cap) = hints.cardinality(key) {
-                    for &l in &entry.rids {
-                        arrays[l as usize] = RidArray::with_capacity(cap);
-                    }
-                }
-            }
-        }
-        arrays
-    } else {
-        Vec::new()
-    };
-    let mut b_fw_index = RidIndex::with_len(if cap_b_f && !pk_fk { right.len() } else { 0 });
-    let mut b_fw_array = if cap_b_f && pk_fk {
-        RidArray::filled(right.len())
-    } else {
-        RidArray::new()
-    };
-
-    // ⋈probe: probe phase over streamed right chunks.
-    let mut out_counter: usize = 0;
-    for (cs, ce) in chunk_bounds(right.len(), chunk_rows) {
-        right.prefetch_rows(ce, ce + chunk_rows);
-        let chunk = right.chunk(cs, ce)?;
-        let extractor = KeyExtractor::new(&chunk, right_keys)?;
-        for local in 0..chunk.len() {
-            let rid = cs + local;
-            let key = extractor.key(local);
-            let Some(entry) = ht.get_mut(&key) else {
-                continue;
-            };
-            if defer_left || defer_forward {
-                entry.o_rids.push(out_counter as Rid);
-            }
-            let k = entry.rids.len();
-            for (j, &l) in entry.rids.iter().enumerate() {
-                let o = (out_counter + j) as Rid;
-                if opts.materialize_output || (cap_a_b && !defer_left) {
-                    out_left.push(l);
-                }
-                if opts.materialize_output || cap_b_b {
-                    out_right.push(rid as Rid);
-                }
-                if cap_a_f && !defer_left && !defer_forward {
-                    a_fw[l as usize].push(o);
-                }
-                if cap_b_f {
-                    if pk_fk {
-                        b_fw_array.set(rid, o);
-                    } else {
-                        b_fw_index.append(rid, o);
-                    }
-                }
-            }
-            out_counter += k;
-        }
-    }
-    let base_query = start.elapsed();
-
-    // Deferred construction of the left-side indexes — identical to the
-    // in-RAM operator: it touches only the (in-RAM) hash table, no pages.
-    let defer_start = Instant::now();
-    let mut a_bw_deferred: Option<RidArray> = None;
-    let mut a_fw_deferred: Option<CsrRidIndex> = None;
-    if defer_left || defer_forward {
-        if defer_left && cap_a_b {
-            a_bw_deferred = Some(RidArray::filled(out_counter));
-        }
-        if cap_a_f {
-            let mut counts = vec![0usize; left.len()];
-            for entry in ht.values() {
-                if entry.o_rids.is_empty() {
-                    continue;
-                }
-                for &l in &entry.rids {
-                    counts[l as usize] = entry.o_rids.len();
-                }
-            }
-            let mut builder = CsrBuilder::with_counts(counts);
-            for entry in ht.values() {
-                if entry.o_rids.is_empty() {
-                    continue;
-                }
-                for (j, &l) in entry.rids.iter().enumerate() {
-                    for &start_o in &entry.o_rids {
-                        let o = start_o + j as Rid;
-                        builder.append(l as usize, o);
-                        if let Some(bw) = a_bw_deferred.as_mut() {
-                            bw.set(o as usize, l);
-                        }
-                    }
-                }
-            }
-            a_fw_deferred = Some(builder.finish());
-        } else if defer_left && cap_a_b {
-            for entry in ht.values() {
-                for (j, &l) in entry.rids.iter().enumerate() {
-                    for &start_o in &entry.o_rids {
-                        if let Some(bw) = a_bw_deferred.as_mut() {
-                            bw.set((start_o + j as Rid) as usize, l);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let deferred = if defer_left || defer_forward {
-        defer_start.elapsed()
-    } else {
-        std::time::Duration::ZERO
-    };
-
-    // Output materialization gathers from the paged inputs (pinning only the
-    // pages the matched rids touch).
-    let joined_schema: Schema = left.schema().concat(right.schema(), right.name());
-    let output_name = format!("join({},{})", left.name(), right.name());
-    let output = if opts.materialize_output {
-        let mut columns = Vec::with_capacity(joined_schema.arity());
-        columns.extend(left.gather(&out_left, "l")?.columns().iter().cloned());
-        columns.extend(right.gather(&out_right, "r")?.columns().iter().cloned());
-        Relation::from_columns(output_name, joined_schema, columns)?
-    } else {
-        Relation::empty(output_name, joined_schema)
-    };
-
-    if !capture {
-        return Ok(JoinResult {
-            output,
-            lineage: OperatorLineage::none(),
-            output_rows: out_counter,
-            pk_fk,
-            grace_partitions: 1,
-            stats: CaptureStats {
-                base_query,
-                ..Default::default()
-            },
-        });
-    }
-
-    let a_backward = if cap_a_b {
-        Some(LineageIndex::Array(match a_bw_deferred {
-            Some(bw) => bw,
-            None => RidArray::from_vec(out_left.clone()),
-        }))
-    } else {
-        None
-    };
-    let a_forward = if cap_a_f {
-        Some(match a_fw_deferred {
-            Some(csr) => LineageIndex::Csr(csr),
-            None => LineageIndex::Index(RidIndex::from_arrays(a_fw)),
-        })
-    } else {
-        None
-    };
-    let b_backward = cap_b_b.then(|| LineageIndex::Array(RidArray::from_vec(out_right.clone())));
-    let b_forward = if cap_b_f {
-        Some(if pk_fk {
-            LineageIndex::Array(b_fw_array)
-        } else {
-            LineageIndex::Index(b_fw_index)
-        })
-    } else {
-        None
-    };
-
-    let mut stats = CaptureStats {
-        base_query,
-        deferred,
-        ..Default::default()
-    };
-    for idx in [&a_backward, &a_forward, &b_backward, &b_forward]
-        .into_iter()
-        .flatten()
-    {
-        stats.edges += idx.edge_count() as u64;
-        stats.rid_resizes += idx.resizes();
-        stats.lineage_bytes += idx.heap_bytes() as u64;
-    }
-
-    Ok(JoinResult {
-        output,
-        lineage: OperatorLineage::binary(
-            InputLineage {
-                backward: a_backward,
-                forward: a_forward,
-            },
-            InputLineage {
-                backward: b_backward,
-                forward: b_forward,
-            },
-        ),
-        output_rows: out_counter,
-        pk_fk,
-        grace_partitions: 1,
-        stats,
-    })
+    hash_join_over(
+        &(left, chunk_rows),
+        &(right, chunk_rows),
+        left_keys,
+        right_keys,
+        opts,
+    )
 }
 
 #[cfg(test)]
@@ -733,8 +101,10 @@ mod tests {
     use crate::ops::groupby::group_by;
     use crate::ops::join::hash_join;
     use crate::ops::select::select;
+    use smoke_lineage::OperatorLineage;
     use smoke_pager::{BufferPool, ReplacementPolicy, SegmentStore};
     use smoke_storage::{DataType, Value};
+    use smoke_storage::{Relation, Rid};
     use std::sync::Arc;
 
     fn pool(budget: usize) -> Arc<BufferPool> {

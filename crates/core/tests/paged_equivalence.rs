@@ -18,16 +18,17 @@ use smoke_core::{paged_group_by, paged_hash_join, paged_select, AggExpr, AggPush
 use smoke_pager::{BufferPool, ReplacementPolicy, SegmentStore};
 use smoke_storage::{DataType, PagedRelation, Relation, Rid, Value, ROWS_PER_PAGE};
 
-/// Builds `t(a, b, s)` from `rows` tiled `reps` times, so small proptest
-/// inputs still span several pages (`ROWS_PER_PAGE` = 1024). `a` is a
-/// small-domain int, `b` a dyadic float, `s` a short string — the `Str`
-/// column stays resident under the paged layout and proves mixed layouts
-/// decode consistently.
+/// Builds `t(a, b, s, c)` from `rows` tiled `reps` times, so small proptest
+/// inputs still span several pages (`ROWS_PER_PAGE` = 1024). `a` and `c`
+/// are small-domain ints, `b` a dyadic float, `s` a short string — the
+/// `Str` column stays resident under the paged layout and proves mixed
+/// layouts decode consistently.
 fn table_from(rows: &[(i64, i64)], reps: usize) -> Relation {
     let mut b = Relation::builder("t")
         .column("a", DataType::Int)
         .column("b", DataType::Float)
-        .column("s", DataType::Str);
+        .column("s", DataType::Str)
+        .column("c", DataType::Int);
     for _ in 0..reps {
         for &(x, y) in rows {
             let s = ["red", "green", "blue", "cyan"][(y % 4).unsigned_abs() as usize];
@@ -35,10 +36,32 @@ fn table_from(rows: &[(i64, i64)], reps: usize) -> Relation {
                 Value::Int(x),
                 Value::Float(y as f64 * 0.5),
                 Value::Str(s.into()),
+                Value::Int(y % 3),
             ]);
         }
     }
     b.build().unwrap()
+}
+
+/// Group-by key shapes: one `Int` column, an `Int` pair, a `Float` column
+/// (the generic `HashKey` path) and one `Str` column.
+fn group_keys(shape: usize) -> Vec<String> {
+    let keys: &[&str] = match shape {
+        0 => &["a"],
+        1 => &["a", "c"],
+        2 => &["b"],
+        _ => &["s"],
+    };
+    keys.iter().map(|k| k.to_string()).collect()
+}
+
+fn group_by_mode(mode: usize) -> GroupByOptions {
+    [
+        GroupByOptions::baseline(),
+        GroupByOptions::inject(),
+        GroupByOptions::defer(),
+    ][mode]
+        .clone()
 }
 
 /// Spills `table` behind a pool of exactly `budget` frames — a budget of 1
@@ -110,6 +133,10 @@ fn assert_group_by_equivalent(
     let seq = group_by(table, keys, aggs, opts).unwrap();
     let p = paged_group_by(paged, keys, aggs, opts, CHUNK).unwrap();
     assert_eq!(seq.output, p.output, "group-by output mismatch");
+    if !opts.mode.captures() {
+        assert!(seq.lineage.is_none() && p.lineage.is_none());
+        return;
+    }
     for g in 0..seq.output.len() as Rid {
         assert_eq!(
             seq.lineage.input(0).backward().lookup(g),
@@ -154,9 +181,10 @@ fn assert_join_equivalent(
     pleft: &PagedRelation,
     pright: &PagedRelation,
     keys: &[String],
+    opts: &JoinOptions,
 ) {
-    let seq = hash_join(left, right, keys, keys, &JoinOptions::inject()).unwrap();
-    let p = paged_hash_join(pleft, pright, keys, keys, &JoinOptions::inject(), CHUNK).unwrap();
+    let seq = hash_join(left, right, keys, keys, opts).unwrap();
+    let p = paged_hash_join(pleft, pright, keys, keys, opts, CHUNK).unwrap();
     assert_eq!(seq.output, p.output, "join output mismatch");
     assert_eq!(seq.output_rows, p.output_rows);
     assert_eq!(seq.pk_fk, p.pk_fk);
@@ -185,10 +213,11 @@ fn assert_join_equivalent(
     }
 }
 
-/// A group-by options set with the full workload surface on: skipping
-/// partitions on `a` and an aggregate push-down cube.
+/// A group-by options set with the full workload surface on: a selection
+/// push-down, skipping partitions on `a` and an aggregate push-down cube.
 fn workload_opts() -> GroupByOptions {
     let mut opts = GroupByOptions::inject();
+    opts.workload.selection_pushdown = Some(Expr::col("b").lt(Expr::lit(25.0)));
     opts.workload.skipping_partition_by = vec!["a".to_string()];
     opts.workload.agg_pushdown = Some(AggPushdown {
         partition_by: vec!["a".to_string()],
@@ -219,16 +248,20 @@ proptest! {
 
     #[test]
     fn paged_group_by_matches_resident(
+        shape in 0usize..4,
+        mode in 0usize..3,
         rows in prop::collection::vec((0i64..4, 0i64..100), 1..200),
         reps in 1usize..12,
         budget in 1usize..9,
     ) {
         let table = table_from(&rows, reps);
         let paged = spill(&table, budget, ReplacementPolicy::Clock);
-        let keys = ["s".to_string()];
-        assert_group_by_equivalent(&table, &paged, &keys, &exact_aggs("b"), &GroupByOptions::inject());
-        // Same capture with skipping partitions + cube on `a`.
-        assert_group_by_equivalent(&table, &paged, &keys, &exact_aggs("b"), &workload_opts());
+        let keys = group_keys(shape);
+        let opts = group_by_mode(mode);
+        assert_group_by_equivalent(&table, &paged, &keys, &exact_aggs("b"), &opts);
+        // Same capture with push-down, skipping partitions + cube on `a`.
+        let workload = GroupByOptions { mode: opts.mode, ..workload_opts() };
+        assert_group_by_equivalent(&table, &paged, &keys, &exact_aggs("b"), &workload);
     }
 
     #[test]
@@ -237,12 +270,16 @@ proptest! {
         right_rows in prop::collection::vec((-2i64..8, 0i64..100), 1..200),
         reps in 1usize..8,
         budget in 1usize..9,
+        mode in 0usize..3,
+        str_key in 0usize..2,
     ) {
         let left = table_from(&left_rows, 1).with_name("L");
         let right = table_from(&right_rows, reps).with_name("R");
         let pleft = spill(&left, budget, ReplacementPolicy::Lru);
         let pright = spill(&right, budget, ReplacementPolicy::Lru);
-        assert_join_equivalent(&left, &right, &pleft, &pright, &["a".to_string()]);
+        let opts = [JoinOptions::inject(), JoinOptions::defer(), JoinOptions::defer_forward()];
+        let key = if str_key == 1 { "s" } else { "a" };
+        assert_join_equivalent(&left, &right, &pleft, &pright, &[key.to_string()], &opts[mode]);
     }
 
     /// Prefetching is an advisory optimization: with a prefetcher attached,
@@ -388,7 +425,14 @@ fn budget_of_one_frame_survives_multi_page_tables() {
             &workload_opts(),
         );
         let pright = spill(&table, 1, policy);
-        assert_join_equivalent(&table, &table, &paged, &pright, &["a".to_string()]);
+        assert_join_equivalent(
+            &table,
+            &table,
+            &paged,
+            &pright,
+            &["a".to_string()],
+            &JoinOptions::inject(),
+        );
     }
 }
 

@@ -321,15 +321,24 @@ pub fn no_lock_across_io(path: &str, tokens: &[Token]) -> Vec<Violation> {
 /// the pin, then write.
 ///
 /// Scope: the server crate (sessions), the pager's background prefetcher
-/// (its workers share the pool with every foreground pin), and the chunked
-/// paged operators including the grace-hash join (single-pin discipline is
-/// what makes one-frame pools survivable). The pool's own internals
+/// (its workers share the pool with every foreground pin), and everything
+/// that scans paged relations chunk by chunk — the paged entry points and
+/// the grace-hash join, the chunk sources, and the select / group-by /
+/// hash-join bodies they drive (single-pin discipline is what makes
+/// one-frame pools survivable). The pool's own internals
 /// (`pool.rs`/`store.rs`) stay exempt — pinning around store I/O there *is*
 /// the mechanism.
 pub fn pin_guard_no_io(path: &str, tokens: &[Token]) -> Vec<Violation> {
     let in_scope = path.starts_with("crates/server/src/")
         || path == "crates/pager/src/prefetch.rs"
-        || path.starts_with("crates/core/src/paged/");
+        || path.starts_with("crates/core/src/paged/")
+        || matches!(
+            path,
+            "crates/core/src/ops/source.rs"
+                | "crates/core/src/ops/select.rs"
+                | "crates/core/src/ops/groupby.rs"
+                | "crates/core/src/ops/join.rs"
+        );
     if !in_scope {
         return Vec::new();
     }

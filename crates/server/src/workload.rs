@@ -15,13 +15,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use smoke_core::ops::groupby::{group_by, GroupByOptions};
-use smoke_core::{AggExpr, AggPushdown, Expr};
+use smoke_core::ops::groupby::{group_by, GroupByOptions, GroupByResult};
+use smoke_core::{paged_group_by, AggExpr, AggPushdown, Expr};
 use smoke_datagen::zipf::{zipf_table_binned, ZipfSampler, ZipfSpec};
 use smoke_pager::ReplacementPolicy;
 use smoke_planner::wire::QuerySpec;
 use smoke_planner::{IoModel, RewriteInfo};
-use smoke_storage::{Database, Relation};
+use smoke_storage::{Database, PagedRelation, Relation, DEFAULT_CHUNK_ROWS};
 
 use crate::snapshot::{Snapshot, View};
 
@@ -34,15 +34,16 @@ pub const BINS: usize = 8;
 /// rejects the generated tables — a bug, but one the embedding process
 /// (server binary, bench harness) gets to report instead of panicking over.
 pub fn demo_snapshot(rows: usize, groups: usize, seed: u64) -> smoke_core::Result<Snapshot> {
-    build_snapshot(demo_table(rows, groups, seed), None)
+    build_snapshot(demo_table(rows, groups, seed), group_by, None)
 }
 
 /// Like [`demo_snapshot`], but the base table is additionally spilled
-/// through a [`Database`] memory budget (file-backed, SIEVE replacement) and
-/// every view carries the paged layout's [`IoModel`]: served `EXPLAIN`s
+/// through a [`Database`] memory budget (file-backed, SIEVE replacement),
+/// both views are captured by `paged_group_by` scans of the spilled pages,
+/// and every view carries the paged layout's [`IoModel`]: served `EXPLAIN`s
 /// price page reads, and `PartitionPruned` plans report the pages they skip
-/// over `EagerTrace` in wire responses. Residency is sampled at build time,
-/// matching the snapshot's immutability.
+/// over `EagerTrace` in wire responses. Residency is sampled at build time
+/// (after the capture scans), matching the snapshot's immutability.
 pub fn demo_snapshot_paged(
     rows: usize,
     groups: usize,
@@ -53,8 +54,11 @@ pub fn demo_snapshot_paged(
     let mut db = Database::new();
     db.set_memory_budget(budget_bytes, ReplacementPolicy::Sieve)?;
     db.register(table.clone())?;
-    let io = IoModel::from_paged(db.paged_relation(table.name())?);
-    build_snapshot(table, Some(io))
+    let paged = db.paged_relation(table.name())?;
+    let capture = |_: &Relation, keys: &[String], aggs: &[AggExpr], opts: &GroupByOptions| {
+        paged_group_by(paged, keys, aggs, opts, DEFAULT_CHUNK_ROWS)
+    };
+    build_snapshot(table, capture, Some(paged))
 }
 
 fn demo_table(rows: usize, groups: usize, seed: u64) -> Relation {
@@ -69,21 +73,32 @@ fn demo_table(rows: usize, groups: usize, seed: u64) -> Relation {
     )
 }
 
-fn build_snapshot(table: Relation, io: Option<IoModel>) -> smoke_core::Result<Snapshot> {
+/// Captures both views of `table` through `capture` (a group-by, resident
+/// or paged) and assembles the snapshot, priced by `paged`'s layout when
+/// the table is spilled.
+fn build_snapshot(
+    table: Relation,
+    capture: impl Fn(
+        &Relation,
+        &[String],
+        &[AggExpr],
+        &GroupByOptions,
+    ) -> smoke_core::Result<GroupByResult>,
+    paged: Option<&PagedRelation>,
+) -> smoke_core::Result<Snapshot> {
     let mut opts = GroupByOptions::inject();
     opts.workload.skipping_partition_by = vec!["v_bin".to_string()];
     opts.workload.agg_pushdown = Some(AggPushdown {
         partition_by: vec!["v_bin".to_string()],
         aggs: vec![AggExpr::count("cnt"), AggExpr::sum("v", "total")],
     });
-    let by_z = group_by(&table, &["z".to_string()], &[AggExpr::count("cnt")], &opts)?;
-
-    let bin_opts = GroupByOptions::inject();
-    let by_bin = group_by(
+    let aggs = [AggExpr::count("cnt")];
+    let by_z = capture(&table, &["z".to_string()], &aggs, &opts)?;
+    let by_bin = capture(
         &table,
         &["v_bin".to_string()],
-        &[AggExpr::count("cnt")],
-        &bin_opts,
+        &aggs,
+        &GroupByOptions::inject(),
     )?;
 
     let mut view_z = View::new(table.clone(), by_z.output.clone())
@@ -95,7 +110,8 @@ fn build_snapshot(table: Relation, io: Option<IoModel>) -> smoke_core::Result<Sn
         .lineage(by_bin.lineage.input(0))
         .rewrite(RewriteInfo::new(vec!["v_bin".to_string()], None))
         .stats(by_bin.stats);
-    if let Some(io) = io {
+    if let Some(paged) = paged {
+        let io = IoModel::from_paged(paged);
         view_z = view_z.io(io);
         view_bin = view_bin.io(io);
     }
@@ -225,6 +241,22 @@ mod tests {
         let resident = demo_snapshot(rows, 50, 7).expect("resident snapshot");
         let explain = resident.explain("by_z", &spec).expect("explain");
         assert!(explain.residency.is_none());
+        // The paged capture scans give the resident views' outputs and
+        // backward lineage, rid for rid.
+        for view in ["by_z", "by_bin"] {
+            let (p, r) = (snapshot.view(view).unwrap(), resident.view(view).unwrap());
+            assert_eq!(p.output(), r.output(), "{view} output");
+            for group in 0..r.output().len() as smoke_storage::Rid {
+                let spec = QuerySpec::backward()
+                    .rids([group])
+                    .force(smoke_planner::Strategy::EagerTrace);
+                assert_eq!(
+                    snapshot.execute(view, &spec).expect("paged trace").rids,
+                    resident.execute(view, &spec).expect("resident trace").rids,
+                    "{view} group {group}"
+                );
+            }
+        }
     }
 
     #[test]

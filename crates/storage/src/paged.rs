@@ -324,6 +324,31 @@ impl PagedRelation {
         self.pool.prefetch(&pages);
     }
 
+    /// The named columns as a relation of their own, sharing this one's
+    /// pages: scanning it reads (and prefetches) only those columns.
+    pub fn project(&self, columns: &[String]) -> Result<PagedRelation> {
+        let mut fields = Vec::with_capacity(columns.len());
+        let mut slots = Vec::with_capacity(columns.len());
+        for name in columns {
+            let idx = self
+                .schema
+                .index_of(name)
+                .ok_or_else(|| StorageError::UnknownColumn {
+                    relation: self.name.clone(),
+                    column: name.clone(),
+                })?;
+            fields.push(self.schema.field(idx).clone());
+            slots.push(self.slots[idx].clone());
+        }
+        Ok(PagedRelation {
+            name: self.name.clone(),
+            schema: Schema::new(fields)?,
+            slots,
+            len: self.len,
+            pool: Arc::clone(&self.pool),
+        })
+    }
+
     /// Materializes rows `[start, end)` of every column as a transient
     /// in-memory [`Relation`] (named like the source so column lookups and
     /// key extraction behave identically). Pins at most one page at a time.
